@@ -13,8 +13,8 @@
 //!   heavy-hitter algorithms.
 //!
 //! The split is what makes a wait-free query plane expressible: the sharded
-//! engines' readers ([`SnapshotReader`](../../memento_shard/struct.SnapshotReader.html))
-//! and the merged [`EngineSnapshot`](../../memento_shard/struct.EngineSnapshot.html)s
+//! engine's readers ([`SnapshotReader`](../../memento_shard/type.SnapshotReader.html))
+//! and the merged [`EngineSnapshot`](../../memento_shard/type.EngineSnapshot.html)s
 //! they serve implement *only* the query traits, so code written against
 //! `&dyn WindowQuery<K>` cannot accidentally take a blocking ingest path.
 //!

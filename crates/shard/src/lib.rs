@@ -1,10 +1,12 @@
 //! # memento-shard
 //!
-//! Multi-core sharding engine for the Memento reproduction: scales any
+//! Multi-core sharding engine for the Memento reproduction: one
+//! [`ShardedEngine`] scales any
 //! [`SlidingWindowEstimator`](memento_core::traits::SlidingWindowEstimator)
-//! or [`HhhAlgorithm`](memento_core::traits::HhhAlgorithm) across worker
-//! threads while answering the *same* window queries through the *same*
-//! object-safe traits.
+//! ([`ShardedEstimator`]) or
+//! [`HhhAlgorithm`](memento_core::traits::HhhAlgorithm) ([`ShardedHhh`])
+//! across worker threads while answering the *same* window queries through
+//! the *same* object-safe traits.
 //!
 //! The paper's headline result is line-rate single-core processing (§5); the
 //! system this reproduction grows toward also has to scale *out* when one
@@ -40,28 +42,37 @@
 //!   candidates are collected at `θ/N` per shard and re-validated against
 //!   the global `θ·W` bar).
 //!
-//! ## The query plane (PR 7, incremental since PR 8)
+//! The two families share all of that — router locking and tiling,
+//! shipping, the publish cadence, epochs, readers. What differs is held by
+//! a small crate-private trait over the per-shard state
+//! ([`BoxedEstimator`] or [`BoxedHhh`]): the ingest item, how a worker
+//! replays a shipment, what it freezes, and its footprint; plus the merge,
+//! which lives in each family's snapshot query impls.
 //!
-//! Queries no longer piggyback on the per-shard update FIFOs. Instead the
-//! engines run a **snapshot publication pipeline** ([`PublishPolicy`]):
+//! ## The query plane
+//!
+//! Queries do not piggyback on the per-shard update FIFOs. Instead the
+//! engine runs a **snapshot publication pipeline** ([`PublishPolicy`]):
 //! workers periodically freeze per-shard summaries — estimator shards
 //! freeze *incrementally* ([`memento_core::WindowPatch`] covering only the
 //! slots dirtied since the previous epoch, folded onto persistent
 //! [`memento_core::DeltaAssembler`] views, so publication costs O(dirty)
-//! rather than O(k) per shard; unchanged engines re-stamp the previous
-//! snapshot without freezing at all), HHH shards freeze full immutable
-//! [`memento_core::FrozenHhh`] summaries — and each complete epoch is
-//! assembled into an [`EngineSnapshot`] (or [`HhhEngineSnapshot`]) under
-//! the global-position-window contract, then swapped into an epoch-tagged
-//! double buffer. The
-//! engines' own [`WindowQuery`](memento_core::WindowQuery) /
+//! rather than O(k) per shard), HHH shards freeze full immutable
+//! [`memento_core::FrozenHhh`] summaries; unchanged engines of either
+//! family re-stamp the previous snapshot without freezing at all — and
+//! each complete epoch is assembled into a [`Snapshot`]
+//! ([`EngineSnapshot`] or [`HhhEngineSnapshot`]) under the
+//! global-position-window contract, then swapped into an epoch-tagged
+//! double buffer. The engine's own
+//! [`WindowQuery`](memento_core::WindowQuery) /
 //! [`HhhQuery`](memento_core::HhhQuery) methods answer from the latest
 //! snapshot (forcing a publication first under the default
 //! `on_query = true`, which reproduces the historical flush-then-read
-//! answers bit-for-bit), and cheaply-clonable wait-free reader handles
-//! ([`SnapshotReader`] / [`HhhSnapshotReader`]) answer from it at memory
-//! speed on any thread — stale by at most one publication interval, never
-//! blocking on (or blocked by) ingest.
+//! answers bit-for-bit), and cheaply-clonable wait-free
+//! [`EngineReader`] handles ([`SnapshotReader`] /
+//! [`HhhSnapshotReader`]) answer from it at memory speed on any thread —
+//! stale by at most one publication interval, never blocking on (or
+//! blocked by) ingest.
 //!
 //! ## Example
 //!
@@ -85,20 +96,23 @@
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
+mod engine;
 mod estimator;
 mod hhh;
 mod router;
 mod snapshot;
 mod worker;
 
+pub use engine::ShardedEngine;
 pub use estimator::{BoxedEstimator, ShardedEstimator};
 pub use hhh::{BoxedHhh, ShardedHhh};
 pub use snapshot::{
-    EngineSnapshot, HhhEngineSnapshot, HhhSnapshotReader, PublishPolicy, SnapshotReader,
+    EngineReader, EngineSnapshot, HhhEngineSnapshot, HhhSnapshotReader, PublishPolicy, Snapshot,
+    SnapshotReader,
 };
 
-/// Default number of keys buffered per shard before a batch is shipped to
-/// the worker. Large enough to amortize the channel send and let the
+/// Number of keys buffered per shard before a batch is shipped to the
+/// worker. Large enough to amortize the channel send and let the
 /// geometric-skip batch path stride, small enough to keep queries fresh.
 pub const DEFAULT_FLUSH_THRESHOLD: usize = 2_048;
 

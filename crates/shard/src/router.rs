@@ -1,9 +1,11 @@
-//! The global-position router state shared by both sharded engines.
+//! The global-position router state of the sharded engine.
 //!
 //! Tracks the position of the *combined* stream and buffers each shard's
 //! entries with per-entry gap stamps, so a worker can replay its share of
 //! the stream at the exact global positions — the correctness-critical
 //! core of the global-position window design (see the crate docs).
+
+use crate::DEFAULT_FLUSH_THRESHOLD;
 
 /// Per-shard gap-stamped buffers plus global-position bookkeeping.
 pub(crate) struct Router<T> {
@@ -33,14 +35,14 @@ impl<T> Router<T> {
 
     /// Stamps `entry` with its gap since the shard's previous entry and
     /// buffers it at the next global position, growing a drained buffer
-    /// back to `capacity_hint` up front (shipments hand the buffers to the
-    /// workers, so capacity does not survive a shipment). Returns the
+    /// back to one shipment's worth up front (shipments hand the buffers to
+    /// the workers, so capacity does not survive a shipment). Returns the
     /// shard's buffer length.
-    pub(crate) fn push(&mut self, shard: usize, entry: T, capacity_hint: usize) -> usize {
+    pub(crate) fn push(&mut self, shard: usize, entry: T) -> usize {
         let buffer = &mut self.entries[shard];
         if buffer.capacity() == 0 {
-            buffer.reserve(capacity_hint);
-            self.gaps[shard].reserve(capacity_hint);
+            buffer.reserve(DEFAULT_FLUSH_THRESHOLD);
+            self.gaps[shard].reserve(DEFAULT_FLUSH_THRESHOLD);
         }
         let position = self.routed + 1;
         self.gaps[shard].push(position - self.anchor[shard] - 1);
@@ -93,10 +95,10 @@ mod tests {
     fn gap_stamps_reconstruct_global_positions() {
         let mut router: Router<char> = Router::new(2);
         // Stream: a(s0) b(s1) c(s1) d(s0) — positions 1..=4.
-        router.push(0, 'a', 8);
-        router.push(1, 'b', 8);
-        router.push(1, 'c', 8);
-        router.push(0, 'd', 8);
+        router.push(0, 'a');
+        router.push(1, 'b');
+        router.push(1, 'c');
+        router.push(0, 'd');
         let (gaps, entries, tail) = router.take_shipment(0).unwrap();
         assert_eq!(entries, vec!['a', 'd']);
         assert_eq!(gaps, vec![0, 2]); // b and c went elsewhere before d
@@ -113,14 +115,14 @@ mod tests {
     #[test]
     fn advance_becomes_the_next_shipment_tail() {
         let mut router: Router<u8> = Router::new(1);
-        router.push(0, 9, 4);
+        router.push(0, 9);
         let _ = router.take_shipment(0);
         router.advance(7);
         let (gaps, entries, tail) = router.take_shipment(0).unwrap();
         assert!(entries.is_empty() && gaps.is_empty());
         assert_eq!(tail, 7);
         // A later entry is stamped relative to the advanced position.
-        router.push(0, 1, 4);
+        router.push(0, 1);
         let (gaps, _, tail) = router.take_shipment(0).unwrap();
         assert_eq!(gaps, vec![0]);
         assert_eq!(tail, 0);

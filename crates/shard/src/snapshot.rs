@@ -1,37 +1,38 @@
 //! The wait-free snapshot query plane.
 //!
-//! The sharded engines used to answer every query by piggybacking the
+//! The sharded engine used to answer every query by piggybacking the
 //! per-shard update FIFO: correct, but each read round-trips through a
 //! worker thread and stalls behind whatever batches are in flight. This
-//! module is the publication subsystem that replaces that path:
+//! module is the publication subsystem that replaces that path, the same
+//! for both engine families:
 //!
 //! 1. every `PublishPolicy::every_batches` shipped batches (and on
 //!    `publish_now`), the engine ships all shard buffers — synchronizing
 //!    every shard to the current global stream position — and enqueues one
 //!    *freeze job* per worker FIFO;
-//! 2. each worker freezes its shard — for estimator engines an incremental
+//! 2. each worker freezes its shard — for estimator shards an incremental
 //!    [`WindowPatch`](memento_core::WindowPatch) covering only the slots
-//!    dirtied since its previous freeze (PR 8), for HHH engines a full
-//!    [`FrozenHhh`](memento_core::query::FrozenHhh) — and delivers it to the
-//!    engine's [`SnapshotHub`];
-//! 3. when the hub holds all `N` parts of an epoch it assembles the merged
-//!    [`EngineSnapshot`] / [`HhhEngineSnapshot`] under the
-//!    global-position-window contract and swaps it into an epoch-stamped
-//!    double buffer ([`SnapshotCell`]). Estimator assembly is *persistent*:
-//!    the assembler owns one [`DeltaWindow`](memento_core::DeltaWindow) per
-//!    shard, applies each epoch's patches onto it and snapshots the result
-//!    with O(1) structural-sharing clones — publication costs
-//!    O(dirty slots), not O(shards × summary size);
-//! 4. any number of [`SnapshotReader`] / [`HhhSnapshotReader`] handles —
-//!    cheaply clonable, `Send + Sync` — answer `estimate` /
+//!    dirtied since its previous freeze, for HHH shards a full
+//!    [`FrozenHhh`] — and delivers it to the engine's [`SnapshotHub`];
+//! 3. when the hub holds all `N` parts of an epoch, the engine's assembler
+//!    turns them into the per-shard views of one [`Snapshot`] and the hub
+//!    swaps it into an epoch-stamped double buffer ([`SnapshotCell`]).
+//!    Estimator assembly is *persistent*: the assembler owns one
+//!    [`DeltaAssembler`](memento_core::DeltaAssembler) per shard, applies
+//!    each epoch's patches onto its view and snapshots the result with O(1)
+//!    structural-sharing clones — publication costs O(dirty slots), not
+//!    O(shards × summary size). HHH parts are the views as delivered;
+//! 4. any number of [`EngineReader`] handles — cheaply clonable,
+//!    `Send + Sync`, holding only the double buffer — answer `estimate` /
 //!    `heavy_hitters` / `output` / `processed` from the latest snapshot at
-//!    memory speed, never touching a channel or blocking ingest.
+//!    memory speed, never touching a channel or blocking ingest. The merge
+//!    rules live in each family's query impls on [`Snapshot`].
 //!
 //! **Staleness bound.** A reader's answer reflects the stream as of the
 //! latest published epoch, which the ingest path refreshes at least every
 //! `every_batches` shipped batches: readers lag ingest by at most one
 //! publication interval (plus whatever is still buffered in the router,
-//! at most one ship threshold per shard). The engines' own trait queries
+//! at most one ship threshold per shard). The engine's own trait queries
 //! publish first by default ([`PublishPolicy::on_query`]), which restores
 //! the old flush-then-read semantics exactly.
 //!
@@ -42,26 +43,25 @@
 //! — and deliveries are serialized under the hub's pending lock, so the
 //! double buffer is always written in increasing epoch order.
 
-use std::collections::HashSet;
-use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 
-use memento_core::query::{FrozenHhh, HhhQuery, WindowQuery};
-use memento_core::{DeltaWindow, WindowPatch};
-use memento_hierarchy::Hierarchy;
-use memento_sketches::fasthash;
+use memento_core::query::FrozenHhh;
+use memento_core::DeltaWindow;
 
-/// When the sharded engines publish query snapshots.
+/// When the sharded engine publishes query snapshots.
 ///
-/// Replaces the old ad-hoc `flush()` + `set_flush_threshold()` pair: the
-/// publication cadence is the one knob that matters for the query plane,
+/// The publication cadence is the one knob that matters for the query
+/// plane (batches always ship at [`crate::DEFAULT_FLUSH_THRESHOLD`] keys),
 /// and the on-query behaviour makes the staleness trade-off explicit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PublishPolicy {
-    /// Publish a fresh snapshot after this many shipped per-shard batches.
-    /// `0` disables periodic publication (snapshots then appear only on
-    /// `publish_now` / on-query publishes). The default of 64 batches keeps
+    /// Publish a fresh snapshot after this many shipped per-shard batches,
+    /// checked after each threshold shipment of `update`, `update_batch`
+    /// and `update_batch_positioned` (the shipments of `skip` and
+    /// `advance_to` count, but do not check). `0` disables periodic
+    /// publication (snapshots then appear only on `publish_now` /
+    /// on-query publishes). The default of 64 batches keeps
     /// readers within ~64 × [`crate::DEFAULT_FLUSH_THRESHOLD`] packets of
     /// the ingest frontier while costing the ingest path well under a
     /// percent.
@@ -93,7 +93,7 @@ impl Default for PublishPolicy {
 /// publications complete during one read — readers never block the writer
 /// for more than a pointer clone either way).
 #[derive(Debug)]
-struct SnapshotCell<T> {
+pub(crate) struct SnapshotCell<T> {
     epoch: AtomicU64,
     slots: [Mutex<(u64, Option<Arc<T>>)>; 2],
 }
@@ -143,9 +143,9 @@ struct PendingEpoch<P> {
 
 /// The hub's mutable core: partially delivered epochs plus the assembler
 /// that folds complete ones into snapshots. One mutex guards both because
-/// the assembler is *stateful* (PR 8): the estimator engines hand it per
-/// shard patches and it owns the persistent merged [`DeltaWindow`]s they
-/// apply onto — epochs must reach it exactly once, in epoch order, which is
+/// the assembler may be *stateful*: estimator engines hand it per-shard
+/// patches and it owns the persistent merged [`DeltaWindow`]s they apply
+/// onto — epochs must reach it exactly once, in epoch order, which is
 /// precisely the order deliveries complete in under this lock.
 struct HubState<P, S> {
     pending: Vec<PendingEpoch<P>>,
@@ -160,19 +160,11 @@ pub(crate) struct SnapshotHub<P, S> {
     shards: usize,
     epochs: AtomicU64,
     state: Mutex<HubState<P, S>>,
-    cell: SnapshotCell<S>,
+    /// The double buffer, shared with every reader handle.
+    cell: Arc<SnapshotCell<S>>,
     /// Highest fully published epoch, guarded for `wait_published`.
     published: Mutex<u64>,
     published_cv: Condvar,
-}
-
-impl<P, S> std::fmt::Debug for SnapshotHub<P, S> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotHub")
-            .field("shards", &self.shards)
-            .field("epochs", &self.epochs.load(Ordering::Relaxed))
-            .finish_non_exhaustive()
-    }
 }
 
 impl<P, S> SnapshotHub<P, S> {
@@ -184,7 +176,7 @@ impl<P, S> SnapshotHub<P, S> {
                 pending: Vec::new(),
                 assemble,
             }),
-            cell: SnapshotCell::new(),
+            cell: Arc::new(SnapshotCell::new()),
             published: Mutex::new(0),
             published_cv: Condvar::new(),
         }
@@ -231,12 +223,16 @@ impl<P, S> SnapshotHub<P, S> {
         self.cell
             .publish(epoch, Arc::new((state.assemble)(epoch, parts)));
         drop(state);
+        self.mark_published(epoch);
+    }
+
+    /// Records `epoch` as published and wakes `wait_published` callers.
+    fn mark_published(&self, epoch: u64) {
         let mut published = self.published.lock().expect("published counter poisoned");
         if epoch > *published {
             *published = epoch;
         }
         self.published_cv.notify_all();
-        drop(published);
     }
 
     /// Blocks until `epoch` (and everything before it) is published.
@@ -256,9 +252,14 @@ impl<P, S> SnapshotHub<P, S> {
         self.cell.load()
     }
 
+    /// The double buffer, for a reader handle.
+    pub(crate) fn cell(&self) -> Arc<SnapshotCell<S>> {
+        Arc::clone(&self.cell)
+    }
+
     /// `true` when every allocated epoch has been published — no freeze
     /// jobs are in flight anywhere. Callers must hold whatever lock
-    /// serializes `begin_epoch` (the engines' router lock) for the answer
+    /// serializes `begin_epoch` (the engine's router lock) for the answer
     /// to stay true while they act on it.
     pub(crate) fn quiescent(&self) -> bool {
         *self.published.lock().expect("published counter poisoned")
@@ -277,71 +278,48 @@ impl<P, S> SnapshotHub<P, S> {
             return false;
         };
         self.cell.publish(epoch, Arc::new(f(&latest)));
-        let mut published = self.published.lock().expect("published counter poisoned");
-        if epoch > *published {
-            *published = epoch;
-        }
-        self.published_cv.notify_all();
-        drop(published);
+        self.mark_published(epoch);
         true
     }
 }
 
-/// Hub specialization used by [`crate::ShardedEstimator`]: workers deliver
-/// **incremental patches**, the stateful assembler folds them onto
-/// persistent per-shard [`DeltaWindow`]s (PR 8).
-pub(crate) type EstimatorHub<K> = SnapshotHub<WindowPatch<K>, EngineSnapshot<K>>;
-/// Hub specialization used by [`crate::ShardedHhh`].
-pub(crate) type HhhHub<Hi> = SnapshotHub<FrozenHhh<Hi>, HhhEngineSnapshot<Hi>>;
-
-/// An immutable merged view of a [`crate::ShardedEstimator`] at one
-/// publication epoch: one delta-maintained [`DeltaWindow`] per shard, all
-/// anchored at the same global stream position.
+/// An immutable merged view of a [`crate::ShardedEngine`] at one publication
+/// epoch: one view per shard, all anchored at the same global stream
+/// position.
 ///
-/// Implements [`WindowQuery`] with exactly the merge rules of the live
-/// engine — per-flow estimates answered by the owning shard (same
-/// [`fasthash::route`]), heavy hitters concatenated in shard order and
-/// re-sorted by descending estimate, `processed` the per-shard maximum — so
+/// The query impls apply exactly the live engine's merge rules, so
 /// snapshot answers are bit-for-bit what the FIFO path would have returned
-/// at the publication point.
+/// at the publication point:
 ///
-/// The per-shard views are persistent structures (PR 8): cloning one into
-/// a snapshot shares all of its entry storage with the assembler's working
-/// copy, so a publication allocates proportionally to the slots *changed*
-/// since the previous epoch, not to the summary size.
+/// * [`EngineSnapshot`] (one delta-maintained [`DeltaWindow`] per shard)
+///   implements [`WindowQuery`](memento_core::WindowQuery): per-flow
+///   estimates are answered by the owning shard (same
+///   [`fasthash::route`](memento_sketches::fasthash::route)), heavy
+///   hitters are concatenated in shard order and re-sorted by descending
+///   estimate. Cloning a [`DeltaWindow`] shares all of its entry storage
+///   with the assembler's working copy, so a publication allocates
+///   proportionally to the slots *changed* since the previous epoch, not
+///   to the summary size;
+/// * [`HhhEngineSnapshot`] (one [`FrozenHhh`] per shard) implements
+///   [`HhhQuery`](memento_core::HhhQuery): a prefix aggregates items from
+///   every shard, so `estimate` *sums* the per-shard upper bounds, and
+///   `output` collects candidates at the per-shard `θ/N` threshold and
+///   re-validates the union against the global `θ·W` bar.
+///
+/// In both, `processed` is the per-shard maximum.
 #[derive(Debug, Clone)]
-pub struct EngineSnapshot<K> {
-    epoch: u64,
-    name: &'static str,
-    error_bound: f64,
-    shards: Vec<DeltaWindow<K>>,
+pub struct Snapshot<V> {
+    pub(crate) epoch: u64,
+    pub(crate) name: &'static str,
+    pub(crate) shards: Vec<V>,
 }
 
-impl<K: Eq + Hash + Clone> EngineSnapshot<K> {
-    pub(crate) fn assemble(
-        epoch: u64,
-        name: &'static str,
-        error_bound: f64,
-        shards: Vec<DeltaWindow<K>>,
-    ) -> Self {
-        EngineSnapshot {
-            epoch,
-            name,
-            error_bound,
-            shards,
-        }
-    }
+/// A [`crate::ShardedEstimator`] snapshot.
+pub type EngineSnapshot<K> = Snapshot<DeltaWindow<K>>;
+/// A [`crate::ShardedHhh`] snapshot.
+pub type HhhEngineSnapshot<Hi> = Snapshot<FrozenHhh<Hi>>;
 
-    /// The same merged view re-stamped as a newer epoch: the
-    /// unchanged-engine publication short circuit (nothing was ingested
-    /// since `self` was assembled, so only the epoch moves).
-    pub(crate) fn restamped(&self, epoch: u64) -> Self {
-        EngineSnapshot {
-            epoch,
-            ..self.clone()
-        }
-    }
-
+impl<V> Snapshot<V> {
     /// The publication epoch this snapshot belongs to (1-based and strictly
     /// increasing per engine).
     pub fn epoch(&self) -> u64 {
@@ -353,266 +331,52 @@ impl<K: Eq + Hash + Clone> EngineSnapshot<K> {
         self.shards.len()
     }
 
-    /// The per-shard merged views, in shard order.
-    pub fn per_shard(&self) -> &[DeltaWindow<K>] {
+    /// The per-shard views, in shard order.
+    pub fn per_shard(&self) -> &[V] {
         &self.shards
     }
 }
 
-impl<K: Eq + Hash + Clone> WindowQuery<K> for EngineSnapshot<K> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// A flow lives wholly in one shard: route the key exactly like the
-    /// live engine and answer from that shard's summary.
-    fn estimate(&self, key: &K) -> f64 {
-        self.shards[fasthash::route(key, self.shards.len())].estimate(key)
-    }
-
-    /// Union of the per-shard sets (shards partition the key space, so it
-    /// is disjoint), re-sorted by descending estimate exactly like the live
-    /// merge.
-    fn heavy_hitters(&self, threshold: f64) -> Vec<(K, f64)> {
-        let mut merged: Vec<(K, f64)> = Vec::new();
-        for shard in &self.shards {
-            merged.extend(shard.heavy_hitters(threshold));
-        }
-        merged.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap_or(std::cmp::Ordering::Equal));
-        merged
-    }
-
-    /// Global stream position at the publication point: every shard is
-    /// position-synced before freezing, so this is the per-shard maximum.
-    fn processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.processed()).max().unwrap_or(0)
-    }
-
-    fn error_bound(&self) -> f64 {
-        self.error_bound
-    }
-}
-
-/// A cheaply clonable, `Send + Sync` handle answering window queries from a
-/// [`crate::ShardedEstimator`]'s latest published snapshot.
+/// A cheaply clonable, `Send + Sync` handle answering queries from a
+/// [`crate::ShardedEngine`]'s latest published [`Snapshot`] —
+/// [`SnapshotReader`] answers [`WindowQuery`](memento_core::WindowQuery)
+/// for a [`crate::ShardedEstimator`], [`HhhSnapshotReader`] answers
+/// [`HhhQuery`](memento_core::HhhQuery) for a [`crate::ShardedHhh`].
 ///
 /// Reads are wait-free with respect to ingest: a query loads the epoch
 /// double buffer (two atomics and an uncontended mutex-protected pointer
 /// clone) and answers from the immutable merged summary — it never touches
 /// a worker FIFO and never blocks an update. Answers are stale by at most
 /// one publication interval ([`PublishPolicy::every_batches`]). Before the
-/// first publication the reader reports the empty window (`processed` = 0,
-/// no heavy hitters).
-pub struct SnapshotReader<K> {
-    hub: Arc<EstimatorHub<K>>,
-    name: &'static str,
-    error_bound: f64,
+/// first publication the reader reports the empty measurement
+/// (`processed` = 0, no heavy hitters, zero estimates).
+#[derive(Clone)]
+pub struct EngineReader<V> {
+    pub(crate) cell: Arc<SnapshotCell<Snapshot<V>>>,
+    pub(crate) name: &'static str,
+    pub(crate) error_bound: f64,
 }
 
-impl<K> Clone for SnapshotReader<K> {
-    fn clone(&self) -> Self {
-        SnapshotReader {
-            hub: Arc::clone(&self.hub),
-            name: self.name,
-            error_bound: self.error_bound,
-        }
-    }
-}
+/// A [`crate::ShardedEstimator`] reader.
+pub type SnapshotReader<K> = EngineReader<DeltaWindow<K>>;
+/// A [`crate::ShardedHhh`] reader.
+pub type HhhSnapshotReader<Hi> = EngineReader<FrozenHhh<Hi>>;
 
-impl<K> std::fmt::Debug for SnapshotReader<K> {
+impl<V> std::fmt::Debug for EngineReader<V> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("SnapshotReader")
+        f.debug_struct("EngineReader")
             .field("name", &self.name)
             .finish_non_exhaustive()
     }
 }
 
-impl<K: Eq + Hash + Clone> SnapshotReader<K> {
-    pub(crate) fn new(hub: Arc<EstimatorHub<K>>, name: &'static str, error_bound: f64) -> Self {
-        SnapshotReader {
-            hub,
-            name,
-            error_bound,
-        }
-    }
-
+impl<V> EngineReader<V> {
     /// The latest published snapshot, or `None` before the first
     /// publication. Grabbing the `Arc` pins one epoch: every query against
     /// it is internally consistent, which is what the torn-read stress
     /// tests assert.
-    pub fn latest(&self) -> Option<Arc<EngineSnapshot<K>>> {
-        self.hub.latest()
-    }
-}
-
-impl<K: Eq + Hash + Clone> WindowQuery<K> for SnapshotReader<K> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn estimate(&self, key: &K) -> f64 {
-        self.latest().map(|s| s.estimate(key)).unwrap_or(0.0)
-    }
-
-    fn heavy_hitters(&self, threshold: f64) -> Vec<(K, f64)> {
-        self.latest()
-            .map(|s| s.heavy_hitters(threshold))
-            .unwrap_or_default()
-    }
-
-    fn processed(&self) -> u64 {
-        self.latest().map(|s| s.processed()).unwrap_or(0)
-    }
-
-    fn error_bound(&self) -> f64 {
-        self.error_bound
-    }
-}
-
-/// An immutable merged view of a [`crate::ShardedHhh`] at one publication
-/// epoch: one [`FrozenHhh`] per shard, all anchored at the same global
-/// stream position.
-///
-/// Implements [`HhhQuery`] with exactly the live engine's merge rules: a
-/// prefix aggregates items from every shard, so `estimate` *sums* the
-/// per-shard upper bounds (in shard order — identical f64 rounding), and
-/// `output` collects candidates at the per-shard `θ/N` threshold,
-/// re-validates the union against the global `θ·W` bar with the summed
-/// estimates and returns them in canonical prefix order.
-#[derive(Debug, Clone)]
-pub struct HhhEngineSnapshot<Hi: Hierarchy> {
-    epoch: u64,
-    name: &'static str,
-    window_total: Option<usize>,
-    shards: Vec<FrozenHhh<Hi>>,
-}
-
-impl<Hi: Hierarchy> HhhEngineSnapshot<Hi> {
-    pub(crate) fn assemble(
-        epoch: u64,
-        name: &'static str,
-        window_total: Option<usize>,
-        shards: Vec<FrozenHhh<Hi>>,
-    ) -> Self {
-        HhhEngineSnapshot {
-            epoch,
-            name,
-            window_total,
-            shards,
-        }
-    }
-
-    /// The publication epoch this snapshot belongs to.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Number of per-shard summaries merged into this snapshot.
-    pub fn shards(&self) -> usize {
-        self.shards.len()
-    }
-}
-
-impl<Hi: Hierarchy> HhhQuery<Hi> for HhhEngineSnapshot<Hi> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    /// Sum of the per-shard upper bounds, in shard order (the same
-    /// accumulation order as the live engine's merged estimate).
-    fn estimate(&self, prefix: &Hi::Prefix) -> f64 {
-        self.shards.iter().map(|s| s.estimate(prefix)).sum()
-    }
-
-    /// The live engine's two-phase merge over frozen parts: per-shard
-    /// candidates at `θ/N`, summed-estimate re-validation against `θ·W`,
-    /// canonical prefix order.
-    fn output(&self, theta: f64) -> Vec<Hi::Prefix> {
-        let per_shard_theta = if self.window_total.is_some() {
-            theta / self.shards.len() as f64
-        } else {
-            theta
-        };
-        let mut seen: HashSet<Hi::Prefix> = HashSet::new();
-        for shard in &self.shards {
-            seen.extend(shard.output(per_shard_theta));
-        }
-        let mut merged: Vec<Hi::Prefix> = seen.into_iter().collect();
-        if let Some(window) = self.window_total {
-            let floor = theta * window as f64;
-            let mut totals = vec![0.0f64; merged.len()];
-            for shard in &self.shards {
-                for (total, prefix) in totals.iter_mut().zip(&merged) {
-                    *total += shard.estimate(prefix);
-                }
-            }
-            let mut keep = totals.iter().map(|t| *t >= floor);
-            merged.retain(|_| keep.next().unwrap_or(false));
-        }
-        merged.sort_unstable();
-        merged
-    }
-
-    fn processed(&self) -> u64 {
-        self.shards.iter().map(|s| s.processed()).max().unwrap_or(0)
-    }
-}
-
-/// A cheaply clonable, `Send + Sync` handle answering HHH queries from a
-/// [`crate::ShardedHhh`]'s latest published snapshot — the hierarchical
-/// counterpart of [`SnapshotReader`], with the same wait-free guarantees
-/// and the same ≤-one-publication-interval staleness bound. Before the
-/// first publication it reports the empty measurement (`processed` = 0, no
-/// heavy hitters, zero estimates).
-pub struct HhhSnapshotReader<Hi: Hierarchy> {
-    hub: Arc<HhhHub<Hi>>,
-    name: &'static str,
-}
-
-impl<Hi: Hierarchy> Clone for HhhSnapshotReader<Hi> {
-    fn clone(&self) -> Self {
-        HhhSnapshotReader {
-            hub: Arc::clone(&self.hub),
-            name: self.name,
-        }
-    }
-}
-
-impl<Hi: Hierarchy> std::fmt::Debug for HhhSnapshotReader<Hi> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("HhhSnapshotReader")
-            .field("name", &self.name)
-            .finish_non_exhaustive()
-    }
-}
-
-impl<Hi: Hierarchy> HhhSnapshotReader<Hi> {
-    pub(crate) fn new(hub: Arc<HhhHub<Hi>>, name: &'static str) -> Self {
-        HhhSnapshotReader { hub, name }
-    }
-
-    /// The latest published snapshot, or `None` before the first
-    /// publication.
-    pub fn latest(&self) -> Option<Arc<HhhEngineSnapshot<Hi>>> {
-        self.hub.latest()
-    }
-}
-
-impl<Hi: Hierarchy> HhhQuery<Hi> for HhhSnapshotReader<Hi> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn estimate(&self, prefix: &Hi::Prefix) -> f64 {
-        self.latest().map(|s| s.estimate(prefix)).unwrap_or(0.0)
-    }
-
-    fn output(&self, theta: f64) -> Vec<Hi::Prefix> {
-        self.latest().map(|s| s.output(theta)).unwrap_or_default()
-    }
-
-    fn processed(&self) -> u64 {
-        self.latest().map(|s| s.processed()).unwrap_or(0)
+    pub fn latest(&self) -> Option<Arc<Snapshot<V>>> {
+        self.cell.load()
     }
 }
 

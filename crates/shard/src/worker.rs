@@ -3,7 +3,7 @@
 //! A worker receives *jobs* — boxed closures over its state — through a
 //! bounded channel, so the hot path (batched updates) and the query path
 //! share one FIFO: a query job sent after a stretch of update jobs observes
-//! every one of them, which is what makes the sharded engines' barrier-free
+//! every one of them, which is what makes the sharded engine's barrier-free
 //! query protocol correct without any locking around the algorithm state.
 //! The bounded channel doubles as backpressure: a producer that outruns its
 //! workers blocks instead of queueing unbounded batches.

@@ -19,6 +19,7 @@ use memento::{
     HhhAlgorithm, HhhQuery, PublishPolicy, ShardedEstimator, ShardedHhh, SrcHierarchy, WindowQuery,
 };
 use proptest::prelude::*;
+use std::sync::atomic::{AtomicBool, Ordering};
 
 /// The shard counts the acceptance criteria call out.
 const SHARD_SWEEP: [usize; 3] = [1, 2, 4];
@@ -175,18 +176,17 @@ fn hhh_snapshot_matches_fifo() {
 #[test]
 fn concurrent_readers_never_observe_torn_snapshots() {
     let window = 50_000;
-    let sharded = {
-        let mut s = ShardedEstimator::memento(4, 256, window, 1.0, 99).with_policy(PublishPolicy {
-            every_batches: 1,
-            on_query: false,
-        });
-        // Small batches → frequent publications → many epoch swaps to race.
-        #[allow(deprecated)]
-        s.set_flush_threshold(64);
-        s
-    };
+    // Publishing after every shipped batch, a stream of this length ships
+    // ~125 default-size batches per shard → over a hundred epoch swaps.
+    let sharded = ShardedEstimator::memento(4, 256, window, 1.0, 99).with_policy(PublishPolicy {
+        every_batches: 1,
+        on_query: false,
+    });
     let reader = sharded.reader();
-    let writer_rounds = 200usize;
+    let writer_rounds = 2_000usize;
+    // Readers keep reading until the writer is done, so they race every
+    // epoch swap rather than only the first few.
+    let writing = &AtomicBool::new(true);
 
     std::thread::scope(|scope| {
         let mut handles = Vec::new();
@@ -196,7 +196,7 @@ fn concurrent_readers_never_observe_torn_snapshots() {
                 let mut last_epoch = 0u64;
                 let mut last_processed = 0u64;
                 let mut observed = 0usize;
-                while observed < 2_000 {
+                while observed < 2_000 || writing.load(Ordering::Acquire) {
                     if let Some(snap) = r.latest() {
                         // Internal consistency: a snapshot merged from a
                         // complete epoch always carries all 4 shards.
@@ -224,6 +224,7 @@ fn concurrent_readers_never_observe_torn_snapshots() {
             writer.update_batch(&keys);
         }
         writer.publish_now();
+        writing.store(false, Ordering::Release);
 
         for h in handles {
             let (epoch, processed) = h.join().unwrap();
@@ -275,28 +276,33 @@ proptest! {
     /// positions are bit-for-bit identical, and equal to the
     /// flush-then-FIFO reference. The repeated per-key queries after the
     /// first forced publication also exercise the unchanged-engine restamp
-    /// short circuit inside a differential check.
+    /// short circuit inside a differential check. The freeze-round counts
+    /// confirm that the three cadences really published differently.
     #[test]
     fn publish_rate_sweep_is_bitwise_invariant(
-        raw in prop::collection::vec(0u64..50, 400..900),
+        raw in prop::collection::vec(0u64..50, 20_000..40_000),
         window in 200usize..2_000,
     ) {
         let mut engines: Vec<ShardedEstimator<u64>> = [1usize, 2, 64]
             .into_iter()
             .map(|every_batches| {
-                let mut engine = ShardedEstimator::memento(2, 64, window, 0.25, 11)
-                    .with_policy(PublishPolicy {
-                        every_batches,
-                        on_query: true,
-                    });
-                // A small ship batch makes the cadences actually diverge
-                // (the default threshold would ship once per chunk).
-                #[allow(deprecated)]
-                engine.set_flush_threshold(32);
-                engine
+                ShardedEstimator::memento(2, 64, window, 0.25, 11).with_policy(PublishPolicy {
+                    every_batches,
+                    on_query: true,
+                })
             })
             .collect();
-        for chunk in raw.chunks(97) {
+        // Each chunk ships several default-size batches between query
+        // points. Every other packet belongs to one heavy flow, so its shard
+        // fills batches faster than the other and the cadences diverge (at
+        // equal rates both shards fill together, and publishing after one
+        // shipment or after two happens at the same points).
+        let stream: Vec<u64> = raw
+            .iter()
+            .enumerate()
+            .map(|(i, &key)| if i % 2 == 0 { 0 } else { key })
+            .collect();
+        for chunk in stream.chunks(9_973) {
             for engine in &mut engines {
                 engine.update_batch(chunk);
             }
@@ -328,5 +334,10 @@ proptest! {
             assert_eq!(positions[0], positions[1]);
             assert_eq!(positions[1], positions[2]);
         }
+        let rounds: Vec<usize> = engines.iter().map(|e| e.freeze_rounds()).collect();
+        assert!(
+            rounds[0] > rounds[1] && rounds[1] > rounds[2],
+            "cadences 1, 2, 64 must freeze different numbers of times: {rounds:?}"
+        );
     }
 }

@@ -14,7 +14,8 @@
 use memento::sketches::{ExactTimedWindow, ExactWindow};
 use memento::traits::SlidingWindowEstimator;
 use memento::{
-    DeltaWindow, GrainClock, GrainMap, Memento, ShardedEstimator, TimedWindow, Wcss, WindowQuery,
+    ArrivalModel, DeltaWindow, GrainClock, GrainMap, Memento, Packet, ShardedEstimator,
+    TimedWindow, TraceGenerator, TracePreset, Wcss, WindowQuery,
 };
 use proptest::prelude::*;
 
@@ -645,4 +646,60 @@ fn freeze_delta_pins_frame_flush_rebuild_under_advance() {
         &WindowQuery::freeze(&timed),
         "after wholesale clear",
     );
+}
+
+/// The publish schedule of a time-plane replay into a 1-shard engine under
+/// the default policy, on the bursty-then-diurnal arrival shape of the
+/// `hh-engine` benchmark workload. `record_timed` drives the engine through
+/// `skip` (rotations) and `update_batch` (same-grain runs); only the
+/// threshold shipments of `update_batch` check the publish cadence, while a
+/// `skip` ships without checking it. Pins the freeze rounds and published
+/// epochs, so moving a cadence check changes this test.
+#[test]
+fn timed_engine_replay_pins_the_publish_schedule() {
+    let window = 20_000u64;
+    let gap = 100u64;
+    let packets: Vec<Packet> = TraceGenerator::new(TracePreset::datacenter(), 5)
+        .take(12 * window as usize)
+        .collect();
+    let (front, back) = packets.split_at(packets.len() / 3);
+    let bursty = ArrivalModel::Bursty {
+        burst_len: window / 4,
+        flood_gap_nanos: gap,
+        idle_nanos: 2 * gap * window,
+    };
+    let diurnal = ArrivalModel::Diurnal {
+        fast_gap_nanos: gap,
+        slow_gap_nanos: 16 * gap,
+        period: window / 2,
+    };
+    let mut arrivals: Vec<(u64, u64)> = bursty
+        .stamp(front, 5)
+        .iter()
+        .map(|tp| (tp.nanos, tp.packet.flow()))
+        .collect();
+    let offset = arrivals.last().map_or(0, |&(t, _)| t);
+    arrivals.extend(
+        diurnal
+            .stamp(back, 6)
+            .iter()
+            .map(|tp| (offset + tp.nanos, tp.packet.flow())),
+    );
+
+    let engine = ShardedEstimator::memento(1, 512, window as usize, 0.25, 3);
+    let reader = engine.reader();
+    let mut timed = TimedWindow::with_grains(engine, gap * window, window, 64);
+    // The chunk after which each freeze round was enqueued.
+    let mut schedule = Vec::new();
+    for (c, chunk) in arrivals.chunks(4_096).enumerate() {
+        timed.record_timed(chunk);
+        while timed.inner().freeze_rounds() > schedule.len() {
+            schedule.push(c);
+        }
+    }
+    // Drain the worker FIFO: every enqueued freeze has been delivered.
+    timed.inner().query_via_fifo(0, |_| ());
+    let epochs = reader.latest().map_or(0, |s| s.epoch());
+    assert_eq!(schedule, [0, 36, 39, 46, 56]);
+    assert_eq!(epochs, 5);
 }
