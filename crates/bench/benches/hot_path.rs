@@ -15,21 +15,16 @@
 //! * **space_saving_add** — the Full update's dominant component alone,
 //!   comparable with `substrate_ops`' historical numbers.
 //!
-//! PR 6 adds the rows the SWAR word scan is aimed at:
+//! Two pairs of rows isolate the probe and the churn it has to survive:
 //!
-//! * **map_probe_compact_map_byte_scan** — the same probe workload
-//!   through the retired byte-at-a-time `probe_reference`, isolating
-//!   what the SWAR rewrite buys on its own;
-//! * **delete-heavy churn** (`churn = 4`) — the regime PR 5's honesty
-//!   note conceded ~5–10% to hashbrown: every fourth op a removal, so
-//!   backward-shift deletion and the subsequent re-probes dominate.
-//!   The SWAR scan walks those displaced clusters a word at a time.
-//!
-//! PR 10 turns the pair into a three-way A/B in one build: `probe` is now
-//! the group scan over the active backend (16-lane SSE2 on x86_64, SWAR
-//! elsewhere), and the `word_scan` row is repointed at the `#[doc(hidden)]`
-//! `probe_swar` — the forced 8-lane SWAR group scan — so byte / SWAR /
-//! SSE2 are measured side by side without a recompile.
+//! * **map_probe_compact_map_byte_scan** vs
+//!   **map_probe_compact_map_probe_scan** — the same probe workload
+//!   through the byte-at-a-time oracle `probe_reference` and through the
+//!   hot-path `probe` (home slot peeled, then one rolled byte loop), on
+//!   the identical table and keys;
+//! * **delete-heavy churn** (`churn = 4`) — every fourth op a removal, so
+//!   backward-shift deletion and the subsequent re-probes of the
+//!   displaced clusters dominate.
 //!
 //! Recorded before/after numbers live in `crates/bench/EXPERIMENTS.md`.
 
@@ -106,14 +101,11 @@ fn map_probe_compact(population: &[u64], keys: &[u64]) -> u64 {
 /// The probe workload through the retired byte-at-a-time scan
 /// (`probe_reference`), kept `#[doc(hidden)]` exactly so this row can
 /// price the scan rewrites in isolation: same table, same keys — only
-/// the fingerprint scan differs from the `word_scan`/`group_scan` rows
-/// below. The three scan rows accumulate the returned *slot index*
-/// rather than touching the entry (PR 10): a value touch lets LLVM fuse
-/// the load into the fully-inline byte loop's lone hit site but not into
-/// the grouped probes (their `Ok` joins with the out-of-line spill's
-/// return), so it measured a caller codegen artifact, not the scan. The
-/// `map_probe_compact_map` row above prices the real probe-plus-touch
-/// access path.
+/// the fingerprint scan differs from the `probe_scan` row below. Both
+/// scan rows accumulate the returned *slot index* rather than touching
+/// the entry, so they price the scan alone, not how well the caller's
+/// value load fuses into it; the `map_probe_compact_map` row above prices
+/// the real probe-plus-touch access path.
 fn map_probe_compact_byte_scan(population: &[u64], keys: &[u64]) -> u64 {
     let mut map: CompactMap<u64, u32> = CompactMap::with_capacity(MONITORED);
     for &key in population {
@@ -129,28 +121,9 @@ fn map_probe_compact_byte_scan(population: &[u64], keys: &[u64]) -> u64 {
     acc
 }
 
-/// The identical workload through the forced 8-lane SWAR group scan
-/// (`probe_swar`) — the portable fallback backend, priced against both the
-/// byte loop above and the active-backend `group_scan` row below.
-fn map_probe_compact_word_scan(population: &[u64], keys: &[u64]) -> u64 {
-    let mut map: CompactMap<u64, u32> = CompactMap::with_capacity(MONITORED);
-    for &key in population {
-        map.insert(key, 0);
-    }
-    let mut acc = 0u64;
-    for &key in keys {
-        match map.probe_swar(&key) {
-            Ok(slot) => acc += slot as u64,
-            Err(_) => acc += 1,
-        }
-    }
-    acc
-}
-
-/// The identical workload through the active probe backend (`probe`):
-/// 16-lane SSE2 groups on x86_64 builds, the SWAR groups elsewhere — the
-/// row the PR 10 parity bar is set on.
-fn map_probe_compact_group_scan(population: &[u64], keys: &[u64]) -> u64 {
+/// The identical workload through the hot-path `probe` (home slot peeled,
+/// then a rolled byte loop), priced against the byte loop above.
+fn map_probe_compact_probe_scan(population: &[u64], keys: &[u64]) -> u64 {
     let mut map: CompactMap<u64, u32> = CompactMap::with_capacity(MONITORED);
     for &key in population {
         map.insert(key, 0);
@@ -227,11 +200,8 @@ fn bench_hot_path(c: &mut Criterion) {
     group.bench_function("map_probe_compact_map_byte_scan", |b| {
         b.iter(|| map_probe_compact_byte_scan(&population, &keys))
     });
-    group.bench_function("map_probe_compact_map_word_scan", |b| {
-        b.iter(|| map_probe_compact_word_scan(&population, &keys))
-    });
-    group.bench_function("map_probe_compact_map_group_scan", |b| {
-        b.iter(|| map_probe_compact_group_scan(&population, &keys))
+    group.bench_function("map_probe_compact_map_probe_scan", |b| {
+        b.iter(|| map_probe_compact_probe_scan(&population, &keys))
     });
     group.bench_function("map_churn_std_hashmap", |b| {
         b.iter(|| map_churn_std(&keys, 16))

@@ -506,7 +506,7 @@ fn measure_publish_heavy_row(config: &GateConfig, preset: &TracePreset, keys: &[
 /// on-arrival RMSE against an exact *time*-window oracle over the same
 /// span. Also returns the RMSE of a `TimedWindow<ExactWindow>` with the
 /// identical geometry on the identical arrivals — the pure
-/// grain-quantization error [`check_bursty_rmse`] separates from the
+/// grain-quantization error [`check_replay_rmse`] separates from the
 /// sketch error.
 fn measure_bursty_replay_row(config: &GateConfig, packets: &[Packet]) -> (GateRow, f64) {
     let window_positions = config.window as u64;

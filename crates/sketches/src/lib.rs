@@ -24,12 +24,10 @@
 //!
 //! [paper]: https://arxiv.org/abs/1810.02899
 
-// `deny` rather than `forbid`: the two targeted `#[allow(unsafe_code)]`
-// sites in the crate wrap x86_64 intrinsics — the software-prefetch hint
-// ([`fasthash::prefetch`]), a no-access CPU hint that cannot fault, and
-// `compact_map`'s 16-byte unaligned SSE2 control-group load, whose bounds
-// a slice index checks on the line above it. Everything else that reads
-// or writes memory remains safe code.
+// `deny` rather than `forbid`: the crate's one `#[allow(unsafe_code)]`
+// site wraps the x86_64 software-prefetch hint in [`fasthash::prefetch`],
+// a no-access CPU hint that cannot fault. Everything else remains safe
+// code.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -8,12 +8,12 @@
 //!   backward-shift deletion exists for (a shift bug shows up as a key
 //!   becoming unreachable or a stale value resurfacing after later
 //!   inserts probe over the hole).
-//! * The group-scan `probe` (SSE2 on x86_64, SWAR elsewhere) vs the
-//!   forced-SWAR `probe_swar` vs the byte-at-a-time `probe_reference` on
-//!   arbitrary insert/remove/get interleavings, under backward-shift
-//!   churn, and on tables filled to the full 7/8 load cap: all scans
-//!   must return the *identical* `Ok(slot)` / `Err((empty, fp))` for
-//!   every key, present or absent.
+//! * The hot-path `probe` (home slot peeled, then one rolled byte walk)
+//!   vs the byte-at-a-time oracle `probe_reference` on arbitrary
+//!   insert/remove/get interleavings, under backward-shift churn, and on
+//!   tables filled to the full 7/8 load cap: both must return the
+//!   *identical* `Ok(slot)` / `Err((empty, fp))` for every key, present
+//!   or absent.
 //! * [`StreamSummary`] (CompactMap index + hot/cold SoA slots) vs a
 //!   test-local copy of the seed-era implementation (AoS slots,
 //!   `HashMap` index): same operation sequences must produce identical
@@ -81,23 +81,14 @@ fn run_map_ops(ops: &[(u8, u8)]) {
     }
 }
 
-/// Asserts all three probe paths agree on `key` — the active group scan
-/// (`probe`: SSE2 on x86_64, SWAR elsewhere), the portable SWAR backend
-/// forced via `probe_swar`, and the byte-scan `probe_reference` — same hit
-/// slot on a present key, same terminating empty slot and fingerprint on
-/// an absent one. On an SSE2 build this pins SIMD ≡ SWAR ≡ byte loop in
-/// one run; on the `memento_no_simd` / non-x86_64 build `probe` *is* the
-/// SWAR backend and the assertion degenerates to the two-way pin.
+/// Asserts `probe` and the byte-scan oracle `probe_reference` agree on
+/// `key`: same hit slot on a present key, same terminating empty slot and
+/// fingerprint on an absent one.
 fn assert_probes_agree(map: &CompactMap<u64, u32>, key: u64, context: &str) {
     assert_eq!(
         map.probe(&key),
         map.probe_reference(&key),
-        "group probe diverges from the byte scan for key {key} ({context})"
-    );
-    assert_eq!(
-        map.probe_swar(&key),
-        map.probe_reference(&key),
-        "SWAR probe diverges from the byte scan for key {key} ({context})"
+        "probe diverges from the byte scan for key {key} ({context})"
     );
 }
 
@@ -113,12 +104,12 @@ proptest! {
         run_map_ops(&ops);
     }
 
-    /// SWAR ≡ byte scan under arbitrary insert/remove/upsert interleavings
+    /// `probe` ≡ byte scan under arbitrary insert/remove/upsert interleavings
     /// (removal-weighted, so backward-shift churn keeps rearranging the
     /// clusters the scans walk): after every op, probe a window of keys
     /// around the touched one — present, absent, and just-removed alike.
     #[test]
-    fn swar_probe_equals_reference_under_churn(
+    fn probe_equals_reference_under_churn(
         ops in prop::collection::vec(
             prop_oneof![
                 2 => (Just(1u8), 0u8..32),          // remove
@@ -152,11 +143,11 @@ proptest! {
         }
     }
 
-    /// SWAR ≡ byte scan on tables at the full 7/8 load cap — the longest
-    /// clusters and the fewest empty lanes the scan can ever meet — and
+    /// `probe` ≡ byte scan on tables at the full 7/8 load cap — the longest
+    /// clusters and the fewest empty slots the scan can ever meet — and
     /// again after backward-shift churn removes every third key.
     #[test]
-    fn swar_probe_equals_reference_at_full_load(
+    fn probe_equals_reference_at_full_load(
         base in 0u64..u64::MAX,
         capacity in 1usize..160,
     ) {
