@@ -1,20 +1,22 @@
-//! Freeze-and-merge cost of the snapshot query plane: full rebuilds (PR 7)
-//! vs incremental delta publication (PR 8).
+//! Freeze-and-publish cost of the snapshot query plane: a full rebuild
+//! vs incremental delta publication.
 //!
-//! One publication under the PR 7 plane cost `O(k)` per shard regardless
-//! of what changed: `freeze` walked every tracked key into a fresh
-//! `FrozenWindow` (Vec + HashMap index + sort). The PR 8 plane freezes a
-//! [`WindowPatch`] covering only the slots dirtied since the previous
-//! freeze and folds it onto a persistent [`DeltaWindow`], so publication
-//! cost tracks the *churn*, not the summary size.
+//! A full rebuild costs `O(k)` per shard regardless of what changed: it
+//! enumerates every tracked key into a [`WindowPatch::rebuild`] and folds
+//! it into a fresh [`DeltaWindow`]. The incremental plane freezes a
+//! [`WindowPatch`] covering only the flows the estimator's change journal
+//! reports since the previous freeze and folds it onto a persistent
+//! [`DeltaWindow`], so publication cost tracks the *churn*, not the summary
+//! size.
 //!
 //! Each `dirty_*` row performs the same work between measurements — touch
 //! `fraction × k` distinct monitored keys — and then pays its plane's
 //! publication cost:
 //!
-//! * `full_freeze_*` — `WindowQuery::freeze()`: the PR 7 unit of work;
+//! * `full_freeze_*` — `heavy_hitters(0.0)` into a `WindowPatch::rebuild`
+//!   applied to an empty `DeltaWindow`;
 //! * `delta_freeze_*` — `freeze_delta()` + `DeltaWindow::apply` + the O(1)
-//!   structural-sharing clone a publication retains: the PR 8 unit.
+//!   structural-sharing clone a publication retains.
 //!
 //! Swept over k ∈ {1k, 4k, 16k} counters at 1%, 10% and 100% dirty. The
 //! honest crossover (where the patch covers so much of the summary that a
@@ -24,7 +26,7 @@ use std::time::Duration;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 
-use memento_core::{DeltaWindow, Wcss, WindowQuery};
+use memento_core::{DeltaWindow, Wcss, WindowPatch, WindowQuery};
 
 /// Counter budgets swept (the gate's 4_096 in the middle).
 const COUNTERS: [usize; 3] = [1_024, 4_096, 16_384];
@@ -66,18 +68,25 @@ fn bench_snapshot_publish(c: &mut Criterion) {
             let touches = touch_set(k, fraction);
             group.throughput(Throughput::Elements(touches.len() as u64));
 
-            // PR 7 unit: touch, then rebuild the frozen summary from
+            // Full rebuild: touch, then rebuild the frozen view from
             // scratch — O(k) no matter how little changed.
             group.bench_function(format!("full_freeze_k{k}_dirty_{label}"), |b| {
                 let mut est = warmed(k);
                 b.iter(|| {
                     est.as_memento_mut().update_batch(&touches);
-                    est.freeze().tracked()
+                    let mut view = DeltaWindow::empty(WindowQuery::name(&est));
+                    view.apply(&WindowPatch::rebuild(
+                        est.heavy_hitters(0.0),
+                        est.untracked_estimate(),
+                        WindowQuery::processed(&est),
+                        WindowQuery::error_bound(&est),
+                    ));
+                    view.tracked()
                 })
             });
 
-            // PR 8 unit: touch, then freeze only the dirtied slots and
-            // fold the patch onto the persistent merged view. The clone
+            // Delta publication: touch, then freeze only the changed flows
+            // and fold the patch onto the persistent merged view. The clone
             // models what a publication retains in the double buffer.
             group.bench_function(format!("delta_freeze_k{k}_dirty_{label}"), |b| {
                 let mut est = warmed(k);

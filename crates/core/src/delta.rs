@@ -1,23 +1,28 @@
-//! Incremental snapshot publication (PR 8): the delta types behind
+//! Incremental snapshot publication: the delta types behind
 //! [`WindowQuery::freeze_delta`].
 //!
-//! PR 7's query plane froze every shard's *entire* summary each epoch —
-//! O(k) per shard per publication, however little changed. This module
-//! makes snapshot maintenance proportional to the **update delta**
-//! instead:
+//! A sharded engine publishes each shard's answers once per epoch. Instead
+//! of copying the whole summary each time (O(k) per shard, however little
+//! changed), a shard reports only what moved since its previous freeze, so
+//! snapshot maintenance is proportional to the **update delta**:
 //!
 //! * [`WindowPatch`] — what one shard reports per epoch: the tracked flows
 //!   whose estimate (or tie-breaking rank) changed since the previous
 //!   freeze, the flows that stopped being tracked, and the scalar state
 //!   (untracked estimate, stream position, error bound). A patch can also
-//!   demand a full `rebuild` when slot identity was invalidated wholesale
-//!   (frame flush, table resize, first freeze).
-//! * [`DeltaWindow`] — a publishable per-shard view: an [`Arc`]-shared
+//!   demand a full `rebuild` when the estimator's change journal could not
+//!   say what changed (first freeze, frame flush, table resize, too many
+//!   departures). Every estimator builds its patch the same way,
+//!   [`WindowPatch::from_keys`]: it names the flows that may have changed
+//!   (or, for a rebuild, every tracked flow) and this module looks up each
+//!   one's `(estimate, rank)`. Estimators without a journal use the
+//!   provided full [`WindowPatch::rebuild`].
+//! * [`DeltaWindow`] — the frozen per-shard view: an [`Arc`]-shared
 //!   `key → (estimate, rank)` table plus the frozen scalars, answering
-//!   [`WindowQuery`] bit-for-bit like the [`FrozenWindow`](crate::FrozenWindow)
-//!   it replaces. `clone` is one `Arc` bump; [`DeltaWindow::apply`] patches
-//!   the table in place when this view is the only owner and falls back to
-//!   a copy-on-write clone when a published snapshot still shares it.
+//!   [`WindowQuery`] bit-for-bit like the live estimator at its last freeze.
+//!   `clone` is one `Arc` bump; [`DeltaWindow::apply`] patches the table in
+//!   place when this view is the only owner and falls back to a
+//!   copy-on-write clone when a published snapshot still shares it.
 //! * [`DeltaAssembler`] — what makes the in-place fast path the common
 //!   case: a small rotation of views (one more than the query plane's
 //!   double buffer retains) plus a backlog of the patches each view has
@@ -33,9 +38,9 @@
 //! only changed entries — so each entry carries its traversal position as
 //! an explicit `rank`; sorting by `(estimate desc, rank asc)` then
 //! reproduces the live stable order exactly, which is what keeps
-//! delta-published snapshots bit-for-bit identical to full freezes.
+//! delta-published snapshots bit-for-bit identical to the live answers.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::{HashMap, HashSet, VecDeque};
 use std::hash::Hash;
 use std::sync::{Arc, OnceLock};
 
@@ -99,6 +104,44 @@ impl<K> WindowPatch<K> {
         }
     }
 
+    /// A patch over the flows `keys` names, deduplicated: a key `rank`
+    /// still finds is re-emitted with its `(estimate, rank)`, any other key
+    /// goes to `removed`. `rebuild` says whether `keys` is the complete
+    /// tracked set (replace) or only the flows that may have changed
+    /// (patch). The scalars are zero; the caller stamps them.
+    pub fn from_keys(
+        rebuild: bool,
+        keys: impl IntoIterator<Item = K>,
+        rank: impl Fn(&K) -> Option<u64>,
+        estimate: impl Fn(&K) -> f64,
+    ) -> Self
+    where
+        K: Eq + Hash,
+    {
+        // Keyed by the workspace's fast multiply–rotate hash: SipHash here
+        // would dominate the whole O(dirty) freeze.
+        let keys: HashSet<K, FastBuildHasher> = keys.into_iter().collect();
+        let mut updated = Vec::new();
+        let mut removed = Vec::new();
+        for key in keys {
+            match rank(&key) {
+                Some(rank) => {
+                    let estimate = estimate(&key);
+                    updated.push((key, estimate, rank));
+                }
+                None => removed.push(key),
+            }
+        }
+        WindowPatch {
+            rebuild,
+            updated,
+            removed,
+            untracked: 0.0,
+            processed: 0,
+            error_bound: 0.0,
+        }
+    }
+
     /// Number of entry changes the patch carries (the "dirty" count a
     /// publication pays for).
     pub fn changes(&self) -> usize {
@@ -122,9 +165,9 @@ type EntryMap<K> = HashMap<K, (f64, u64), FastBuildHasher>;
 ///   table's only owner (the steady state under a [`DeltaAssembler`]) and
 ///   degrades to a copy-on-write clone — never wrong, just slower — when a
 ///   published snapshot still shares it;
-/// * answers [`WindowQuery`] bit-for-bit like the
-///   [`FrozenWindow`](crate::FrozenWindow) a full freeze would have built
-///   (see the module docs for the rank argument);
+/// * answers [`WindowQuery`] bit-for-bit like the live estimator at the
+///   freeze that produced the last patch (see the module docs for the rank
+///   argument);
 /// * the descending entry order behind [`heavy_hitters`](WindowQuery::heavy_hitters)
 ///   is computed lazily on first query and shared by every clone taken
 ///   before the next `apply` — an untouched shard re-sorts nothing.
@@ -287,14 +330,6 @@ impl<K: Eq + Hash + Clone> DeltaAssembler<K> {
         }
         view.clone()
     }
-
-    /// The most recently published view, if any patch was folded yet.
-    pub fn latest(&self) -> Option<&DeltaWindow<K>> {
-        if self.seq == 0 {
-            return None;
-        }
-        Some(&self.views[(self.seq as usize) % ROTATION])
-    }
 }
 
 #[cfg(test)]
@@ -375,7 +410,6 @@ mod tests {
     fn assembler_rotation_matches_sequential_application() {
         let mut reference: DeltaWindow<u64> = DeltaWindow::empty("test");
         let mut assembler: DeltaAssembler<u64> = DeltaAssembler::new("test");
-        assert!(assembler.latest().is_none());
         let mut retained: VecDeque<DeltaWindow<u64>> = VecDeque::new();
         for step in 0..20u64 {
             let patch = if step == 9 {
@@ -415,10 +449,6 @@ mod tests {
                 reference.untracked_estimate()
             );
             assert_eq!(published.tracked(), reference.tracked());
-            assert_eq!(
-                assembler.latest().expect("published").processed(),
-                reference.processed()
-            );
         }
     }
 }

@@ -58,7 +58,7 @@ pub use delta::{DeltaAssembler, DeltaWindow, WindowPatch};
 pub use error::ConfigError;
 pub use h_memento::HMemento;
 pub use memento::Memento;
-pub use query::{FrozenHhh, FrozenWindow, HhhQuery, WindowQuery};
+pub use query::{FrozenHhh, HhhQuery, WindowQuery};
 pub use time::{GrainClock, GrainMap, TimedHhh, TimedWindow};
 pub use traits::{HhhAlgorithm, SlidingWindowEstimator};
 pub use wcss::Wcss;

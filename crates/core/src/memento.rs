@@ -29,10 +29,9 @@
 //! one-sided (as the paper does for comparability with MST), and scales by
 //! τ⁻¹ to compensate for sampling.
 
-use std::collections::HashSet;
 use std::hash::Hash;
 
-use memento_sketches::fasthash::{hash_one, FastBuildHasher, PREFETCH_LOOKAHEAD};
+use memento_sketches::fasthash::{hash_one, PREFETCH_LOOKAHEAD};
 use memento_sketches::{CompactMap, OverflowQueue, Sampler, SpaceSaving, TableSampler};
 
 use crate::config::MementoConfig;
@@ -902,12 +901,13 @@ impl<K: Eq + Hash + Clone> Memento<K> {
             .iter()
             .map(|(k, _)| k.clone())
             .collect();
-        let known: std::collections::HashSet<K> = keys.iter().cloned().collect();
-        for snap in self.y.snapshot() {
-            if !known.contains(&snap.key) {
-                keys.push(snap.key);
-            }
-        }
+        keys.extend(
+            self.y
+                .snapshot()
+                .into_iter()
+                .map(|snap| snap.key)
+                .filter(|k| !self.overflow_counts.contains_key(k)),
+        );
         keys
     }
 
@@ -949,109 +949,50 @@ impl<K: Eq + Hash + Clone> Memento<K> {
     /// [`WindowPatch`] (the engine behind the Memento family's O(dirty)
     /// [`WindowQuery::freeze_delta`](crate::WindowQuery::freeze_delta)).
     ///
-    /// The first call enables dirty journaling on the overflow table and the
-    /// in-frame summary — instances that never freeze incrementally pay
+    /// The first call opens the change journals of the overflow table and
+    /// the in-frame summary — instances that never freeze incrementally pay
     /// nothing — and returns a full rebuild. Subsequent calls return only
     /// the flows whose `(estimate, rank)` could have changed:
     ///
-    /// * flows at journaled-dirty `B` or `y` slots (count changes, slot
-    ///   moves from backward-shift deletion);
-    /// * flows removed from `B` or evicted from `y` since the last call;
+    /// * the keys either journal reports (count changes, slot moves from
+    ///   backward-shift deletion, removals from `B`, evictions from `y`);
     /// * when `y`'s absent-key answer moved, every overflow flow *not*
     ///   monitored in `y` (their estimates embed that answer) — O(|B|),
     ///   still far below the full O(k + |B|) re-enumeration.
     ///
-    /// A frame flush (`y` cleared) or overflow-table resize invalidates
-    /// slot identity wholesale and degrades that call to a rebuild.
+    /// A journal that reports a rebuild (frame flush, overflow-table
+    /// resize, too many departures) degrades that call to a rebuild.
     ///
     /// The caller supplies `error_bound` (it differs between the Memento
     /// and WCSS trait impls); the patch carries `0.0` until overwritten.
     pub fn freeze_patch(&mut self) -> WindowPatch<K> {
-        if !self.overflow_counts.journal_enabled() {
-            self.overflow_counts.enable_journal();
-        }
-        if !self.y.journal_enabled() {
-            self.y.enable_journal();
-        }
-        let map_drain = self
-            .overflow_counts
-            .drain_journal()
-            .expect("journal enabled above");
-        let y_drain = self.y.drain_journal().expect("journal enabled above");
+        let map_drain = self.overflow_counts.drain_journal();
+        let y_drain = self.y.drain_journal();
         let absent = self.y.absent_query();
         let absent_changed = absent != self.last_absent;
         self.last_absent = absent;
-        let untracked = self.untracked_estimate();
-        if map_drain.all_dirty || y_drain.cleared {
-            let mut updated = Vec::new();
-            for (k, _) in self.overflow_counts.iter() {
-                let rank = self
-                    .overflow_counts
-                    .slot_of(k)
-                    .expect("iterated key is present") as u64;
-                updated.push((k.clone(), self.estimate(k), rank));
-            }
-            for snap in self.y.snapshot() {
-                if self.overflow_counts.get(&snap.key).is_some() {
-                    continue;
-                }
-                let rank = (1u64 << 32)
-                    | self
-                        .y
-                        .slot_of(&snap.key)
-                        .expect("snapshotted key is present") as u64;
-                let est = self.estimate(&snap.key);
-                updated.push((snap.key, est, rank));
-            }
-            return WindowPatch {
-                rebuild: true,
-                updated,
-                removed: Vec::new(),
-                untracked,
-                processed: self.processed,
-                error_bound: 0.0,
-            };
-        }
-        // Keyed by the workspace's fast multiply–rotate hash: SipHash here
-        // would dominate the whole O(dirty) freeze.
-        let mut candidates: HashSet<K, FastBuildHasher> = HashSet::default();
-        for slot in map_drain.dirty_slots {
-            if let Some((k, _)) = self.overflow_counts.slot_entry(slot) {
-                candidates.insert(k.clone());
-            }
-        }
-        candidates.extend(map_drain.removed);
-        for slot in y_drain.dirty_slots {
-            if let Some((k, _, _)) = self.y.slot_entry(slot) {
-                candidates.insert(k.clone());
-            }
-        }
-        candidates.extend(y_drain.evicted);
-        if absent_changed {
-            for (k, _) in self.overflow_counts.iter() {
-                if self.y.slot_of(k).is_none() {
-                    candidates.insert(k.clone());
-                }
-            }
-        }
-        let mut updated = Vec::new();
-        let mut removed = Vec::new();
-        for k in candidates {
-            match self.delta_rank(&k) {
-                Some(rank) => {
-                    let est = self.estimate(&k);
-                    updated.push((k, est, rank));
-                }
-                None => removed.push(k),
-            }
-        }
+        let rank = |k: &K| self.delta_rank(k);
+        let estimate = |k: &K| self.estimate(k);
+        let patch = if map_drain.rebuild || y_drain.rebuild {
+            WindowPatch::from_keys(true, self.tracked_keys(), rank, estimate)
+        } else {
+            let absent_dependent = absent_changed
+                .then(|| self.overflow_counts.iter())
+                .into_iter()
+                .flatten()
+                .filter(|(k, _)| self.y.slot_of(k).is_none())
+                .map(|(k, _)| k.clone());
+            let keys = map_drain
+                .changed
+                .into_iter()
+                .chain(y_drain.changed)
+                .chain(absent_dependent);
+            WindowPatch::from_keys(false, keys, rank, estimate)
+        };
         WindowPatch {
-            rebuild: false,
-            updated,
-            removed,
-            untracked,
+            untracked: self.untracked_estimate(),
             processed: self.processed,
-            error_bound: 0.0,
+            ..patch
         }
     }
 }

@@ -1,5 +1,5 @@
 //! The read-only query plane: `WindowQuery` / `HhhQuery` and the frozen
-//! summaries that carry answers across threads.
+//! HHH summary that carries answers across threads.
 //!
 //! PR 7 splits the workspace's fat algorithm traits in two. The ingest side
 //! ([`SlidingWindowEstimator`](crate::traits::SlidingWindowEstimator),
@@ -18,12 +18,18 @@
 //! they serve implement *only* the query traits, so code written against
 //! `&dyn WindowQuery<K>` cannot accidentally take a blocking ingest path.
 //!
-//! [`FrozenWindow`] and [`FrozenHhh`] are the immutable value types a live
-//! algorithm produces via [`WindowQuery::freeze`] / [`HhhQuery::freeze`]:
-//! self-contained summaries that answer the same queries the live instance
-//! would have answered at freeze time, bit-for-bit, without referencing the
-//! live state. The sharded engines freeze one per shard inside the worker
-//! threads and merge them into publication snapshots.
+//! Each family has one frozen form, the immutable per-shard value the
+//! sharded engines build inside the worker threads and merge into
+//! publication snapshots:
+//!
+//! * per-flow estimators freeze incrementally: [`WindowQuery::freeze_delta`]
+//!   returns a [`WindowPatch`] that a [`DeltaWindow`](crate::DeltaWindow)
+//!   folds in (see [`crate::delta`]);
+//! * HHH algorithms freeze whole: [`HhhQuery::freeze`] returns a
+//!   [`FrozenHhh`].
+//!
+//! Either answers the same queries the live instance would have answered
+//! at freeze time, bit-for-bit, without referencing the live state.
 
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -37,8 +43,8 @@ use crate::delta::WindowPatch;
 /// Everything here takes `&self`: implementors answer from their current
 /// state without advancing it. Live algorithms ([`Memento`](crate::Memento),
 /// [`Wcss`](crate::Wcss), exact windows) implement it alongside the ingest
-/// trait; frozen summaries and the sharded engines' snapshot readers
-/// implement *only* this trait.
+/// trait; frozen views ([`DeltaWindow`](crate::DeltaWindow)) and the sharded
+/// engines' snapshot readers implement *only* this trait.
 pub trait WindowQuery<K: Clone> {
     /// Short stable name used in bench CSV output and test diagnostics.
     fn name(&self) -> &'static str;
@@ -70,41 +76,20 @@ pub trait WindowQuery<K: Clone> {
         0.0
     }
 
-    /// Captures an immutable [`FrozenWindow`] answering exactly the queries
-    /// this instance would answer right now.
-    ///
-    /// The provided implementation records every tracked flow via
-    /// `heavy_hitters(0.0)` (estimates are non-negative, so a zero
-    /// threshold enumerates all of them in canonical descending order)
-    /// together with [`untracked_estimate`](Self::untracked_estimate) for
-    /// everything else. That reproduces `estimate` and `heavy_hitters`
-    /// bit-for-bit for every implementor whose heavy-hitter sort is stable
-    /// — all of the workspace's are — because filtering a stable descending
-    /// order by threshold commutes with sorting the filtered set.
-    fn freeze(&self) -> FrozenWindow<K>
-    where
-        K: Eq + Hash,
-    {
-        FrozenWindow::capture(
-            self.name(),
-            self.heavy_hitters(0.0),
-            self.untracked_estimate(),
-            self.processed(),
-            self.error_bound(),
-        )
-    }
-
     /// Captures the changes since the previous `freeze_delta` call as a
     /// [`WindowPatch`], for consumers maintaining a persistent
     /// [`DeltaWindow`](crate::delta::DeltaWindow). Applying every patch in
-    /// call order reproduces [`freeze`](Self::freeze)'s answers bit-for-bit
-    /// at each point.
+    /// call order to an empty view reproduces this instance's `estimate`,
+    /// `heavy_hitters` and scalars bit-for-bit at each point.
     ///
-    /// Takes `&mut self` because native implementors drain internal dirty
+    /// Takes `&mut self` because native implementors drain internal change
     /// journals. The provided implementation has no journal and simply
-    /// returns a full [`WindowPatch::rebuild`] every time — correct for any
-    /// implementor, O(k) like `freeze`. Native O(dirty) implementations
-    /// exist for the Memento family, Space Saving, and the exact window.
+    /// returns a full [`WindowPatch::rebuild`] from `heavy_hitters(0.0)`
+    /// every time (estimates are non-negative, so a zero threshold
+    /// enumerates every tracked flow in canonical descending order) —
+    /// correct for any implementor whose heavy-hitter sort is stable, O(k).
+    /// Native O(dirty) implementations exist for the Memento family and the
+    /// exact window.
     fn freeze_delta(&mut self) -> WindowPatch<K>
     where
         K: Eq + Hash,
@@ -144,99 +129,6 @@ pub trait HhhQuery<Hi: Hierarchy> {
     /// return `Some` — the engine checks at construction.
     fn freeze(&self) -> Option<FrozenHhh<Hi>> {
         None
-    }
-}
-
-/// An immutable point-in-time summary of a [`WindowQuery`] implementor.
-///
-/// Stores the tracked flows in the live instance's canonical
-/// descending-estimate order plus the estimate assigned to untracked keys,
-/// so `estimate` and `heavy_hitters` reproduce the frozen instance's answers
-/// bit-for-bit. `Send + Sync` whenever `K` is, which is what lets the
-/// sharded engines ship one per shard out of the worker threads.
-#[derive(Debug, Clone)]
-pub struct FrozenWindow<K> {
-    name: &'static str,
-    /// Tracked flows in the live `heavy_hitters(0.0)` order (descending
-    /// estimate, original stable tie order).
-    entries: Vec<(K, f64)>,
-    /// Point lookups for `estimate`.
-    index: HashMap<K, f64>,
-    /// Estimate reported for keys absent from `index`.
-    untracked: f64,
-    processed: u64,
-    error_bound: f64,
-}
-
-impl<K: Eq + Hash + Clone> FrozenWindow<K> {
-    /// Builds a frozen summary from a live instance's full heavy-hitter
-    /// enumeration (threshold 0, canonical order) and scalar state.
-    pub fn capture(
-        name: &'static str,
-        entries: Vec<(K, f64)>,
-        untracked: f64,
-        processed: u64,
-        error_bound: f64,
-    ) -> Self {
-        let index = entries.iter().cloned().collect();
-        Self {
-            name,
-            entries,
-            index,
-            untracked,
-            processed,
-            error_bound,
-        }
-    }
-
-    /// An empty summary: what a reader sees before anything was published.
-    pub fn empty(name: &'static str) -> Self {
-        Self {
-            name,
-            entries: Vec::new(),
-            index: HashMap::new(),
-            untracked: 0.0,
-            processed: 0,
-            error_bound: 0.0,
-        }
-    }
-
-    /// Number of tracked flows in the summary.
-    pub fn tracked(&self) -> usize {
-        self.entries.len()
-    }
-}
-
-impl<K: Eq + Hash + Clone> WindowQuery<K> for FrozenWindow<K> {
-    fn name(&self) -> &'static str {
-        self.name
-    }
-
-    fn estimate(&self, key: &K) -> f64 {
-        self.index.get(key).copied().unwrap_or(self.untracked)
-    }
-
-    fn heavy_hitters(&self, threshold: f64) -> Vec<(K, f64)> {
-        // `entries` is already in the live implementor's canonical order;
-        // filtering a stable descending order is the same as sorting the
-        // filtered set, so this matches the live answer bit-for-bit.
-        self.entries
-            .iter()
-            .filter(|(_, est)| *est >= threshold)
-            .cloned()
-            .collect()
-    }
-
-    fn processed(&self) -> u64 {
-        self.processed
-    }
-
-    fn error_bound(&self) -> f64 {
-        self.error_bound
-    }
-
-    fn untracked_estimate(&self) -> f64 {
-        self.untracked
     }
 }
 

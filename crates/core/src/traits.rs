@@ -27,14 +27,12 @@
 //! `Vec<Box<dyn SlidingWindowEstimator<u64>>>` (as the workspace's
 //! trait-object smoke test does) or take `&mut dyn HhhAlgorithm<_>`.
 
-use std::collections::HashSet;
 use std::hash::Hash;
 
 use memento_hierarchy::Hierarchy;
-use memento_sketches::fasthash::FastBuildHasher;
 use memento_sketches::{ExactWindow, SpaceSaving};
 
-pub use crate::query::{FrozenHhh, FrozenWindow, HhhQuery, WindowQuery};
+pub use crate::query::{FrozenHhh, HhhQuery, WindowQuery};
 
 use crate::delta::WindowPatch;
 use crate::h_memento::HMemento;
@@ -351,57 +349,28 @@ impl<K: Eq + Hash + Clone> WindowQuery<K> for ExactWindow<K> {
         0.0
     }
 
-    /// O(dirty) incremental freeze over the journaled count table: flows at
-    /// dirty slots are re-emitted with their slot as the tie-breaking rank
-    /// (the live heavy-hitter sort is a stable descending pass over the
-    /// table's slot order), removed flows are dropped. Wholesale clears
-    /// (`skip` past the whole window) degrade to a rebuild.
+    /// O(dirty) incremental freeze over the journaled count table: flows
+    /// the journal reports are re-emitted with their slot as the
+    /// tie-breaking rank (the live heavy-hitter sort is a stable descending
+    /// pass over the table's slot order), removed flows are dropped.
+    /// Wholesale clears (`skip` past the whole window) and resizes degrade
+    /// to a rebuild.
     fn freeze_delta(&mut self) -> WindowPatch<K> {
-        if !self.journal_enabled() {
-            self.enable_journal();
-        }
-        let drain = self.drain_journal().expect("journal enabled above");
-        let processed = ExactWindow::processed(self);
-        if drain.all_dirty {
-            let mut updated = Vec::new();
-            for (k, c) in ExactWindow::iter(self) {
-                let rank = self.slot_of(k).expect("iterated key is present") as u64;
-                updated.push((k.clone(), c as f64, rank));
-            }
-            return WindowPatch {
-                rebuild: true,
-                updated,
-                removed: Vec::new(),
-                untracked: 0.0,
-                processed,
-                error_bound: 0.0,
-            };
-        }
-        let mut candidates: HashSet<K, FastBuildHasher> = HashSet::default();
-        for slot in drain.dirty_slots {
-            if let Some((k, _)) = self.slot_entry(slot) {
-                candidates.insert(k.clone());
-            }
-        }
-        candidates.extend(drain.removed);
-        let mut updated = Vec::new();
-        let mut removed = Vec::new();
-        for k in candidates {
-            match self.slot_of(&k) {
-                Some(slot) => {
-                    let est = self.query(&k) as f64;
-                    updated.push((k, est, slot as u64));
-                }
-                None => removed.push(k),
-            }
-        }
+        let drain = self.drain_journal();
+        let keys = if drain.rebuild {
+            ExactWindow::iter(self).map(|(k, _)| k.clone()).collect()
+        } else {
+            drain.changed
+        };
+        let patch = WindowPatch::from_keys(
+            drain.rebuild,
+            keys,
+            |k| self.slot_of(k).map(|slot| slot as u64),
+            |k| self.query(k) as f64,
+        );
         WindowPatch {
-            rebuild: false,
-            updated,
-            removed,
-            untracked: 0.0,
-            processed,
-            error_bound: 0.0,
+            processed: ExactWindow::processed(self),
+            ..patch
         }
     }
 }
@@ -454,62 +423,6 @@ impl<K: Eq + Hash + Clone> WindowQuery<K> for SpaceSaving<K> {
     /// count once the summary is full ([`SpaceSaving::absent_query`]).
     fn untracked_estimate(&self) -> f64 {
         self.absent_query() as f64
-    }
-
-    /// O(dirty) incremental freeze over the journaled stream summary:
-    /// flows at dirty slots are re-emitted with their summary slot as the
-    /// tie-breaking rank (the live heavy-hitter sort is a stable descending
-    /// pass over the summary's slot order), evicted flows are dropped.
-    /// A flush (`clear`) degrades to a rebuild.
-    fn freeze_delta(&mut self) -> WindowPatch<K> {
-        if !self.journal_enabled() {
-            self.enable_journal();
-        }
-        let drain = self.drain_journal().expect("journal enabled above");
-        let untracked = self.absent_query() as f64;
-        let processed = SpaceSaving::processed(self);
-        let error_bound = WindowQuery::error_bound(self);
-        if drain.cleared {
-            let mut updated = Vec::new();
-            for snap in self.snapshot() {
-                let rank = self.slot_of(&snap.key).expect("snapshotted key is present") as u64;
-                updated.push((snap.key, snap.count as f64, rank));
-            }
-            return WindowPatch {
-                rebuild: true,
-                updated,
-                removed: Vec::new(),
-                untracked,
-                processed,
-                error_bound,
-            };
-        }
-        let mut candidates: HashSet<K, FastBuildHasher> = HashSet::default();
-        for slot in drain.dirty_slots {
-            if let Some((k, _, _)) = self.slot_entry(slot) {
-                candidates.insert(k.clone());
-            }
-        }
-        candidates.extend(drain.evicted);
-        let mut updated = Vec::new();
-        let mut removed = Vec::new();
-        for k in candidates {
-            match self.slot_of(&k) {
-                Some(slot) => {
-                    let est = self.query(&k) as f64;
-                    updated.push((k, est, slot as u64));
-                }
-                None => removed.push(k),
-            }
-        }
-        WindowPatch {
-            rebuild: false,
-            updated,
-            removed,
-            untracked,
-            processed,
-            error_bound,
-        }
     }
 }
 

@@ -42,6 +42,7 @@
 use std::hash::Hash;
 
 use crate::fasthash::hash_one;
+use crate::journal::{JournalDrain, SlotJournal};
 
 /// Minimum number of slots. Held at 16 because the table geometry decides
 /// every slot position — and with it iteration order, the snapshot path's
@@ -69,43 +70,6 @@ pub struct ProbeStats {
     pub max_probe_len: usize,
 }
 
-/// Change journal accumulated between two [`CompactMap::drain_journal`]
-/// calls (see [`CompactMap::enable_journal`]). Boxed behind an `Option` so
-/// maps that never snapshot (the shard routers) pay one null check per
-/// write, nothing more.
-#[derive(Debug, Clone)]
-struct MapJournal<K> {
-    /// One bit per slot: the slot's payload changed (insert, value update,
-    /// or an existing entry moved here by backward-shift deletion) since
-    /// the last drain.
-    dirty: Vec<u64>,
-    /// Keys removed since the last drain. A removed key may have been
-    /// re-inserted afterwards; consumers must check the live map.
-    removed: Vec<K>,
-    /// Set when slot identity was invalidated wholesale (`clear`, `grow`):
-    /// per-slot tracking is suspended and the next drain reports a full
-    /// rebuild.
-    all_dirty: bool,
-}
-
-/// The drained contents of a [`CompactMap`] change journal, as returned by
-/// [`CompactMap::drain_journal`]. When `all_dirty` is set the per-slot and
-/// per-key lists are empty and meaningless — the consumer must re-read the
-/// whole map.
-#[derive(Debug)]
-pub struct MapJournalDrain<K> {
-    /// Slot identity was invalidated wholesale (`clear` or a resize) since
-    /// the last drain; rebuild instead of patching.
-    pub all_dirty: bool,
-    /// Slots whose payload changed since the last drain, ascending. A listed
-    /// slot may be empty *now* (its entry was removed or shifted away); read
-    /// the live map via [`CompactMap::slot_entry`].
-    pub dirty_slots: Vec<usize>,
-    /// Keys removed since the last drain (possibly re-inserted later; check
-    /// the live map before treating one as gone).
-    pub removed: Vec<K>,
-}
-
 /// A flat, power-of-two, linear-probing hash map with a separate one-byte
 /// fingerprint array and backward-shift deletion. See the module docs for
 /// the design rationale; see `tests/proptest_compact_map.rs` for the
@@ -123,8 +87,8 @@ pub struct CompactMap<K, V> {
     /// Occupied slot count.
     len: usize,
     /// Change journal for incremental snapshot publication; `None` until
-    /// [`Self::enable_journal`].
-    journal: Option<Box<MapJournal<K>>>,
+    /// the first [`Self::drain_journal`].
+    journal: Option<Box<SlotJournal<K>>>,
 }
 
 impl<K: Eq + Hash, V> Default for CompactMap<K, V> {
@@ -160,82 +124,26 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
         }
     }
 
-    /// Starts recording per-slot changes for incremental snapshots
-    /// ([`Self::drain_journal`]). The journal opens in the `all_dirty`
-    /// state so the first drain after enabling always reports a full
-    /// rebuild. Idempotent; maps that never enable the journal pay one
-    /// null check per write.
-    pub fn enable_journal(&mut self) {
-        if self.journal.is_none() {
-            self.journal = Some(Box::new(MapJournal {
-                dirty: vec![0; self.ctrl.len().div_ceil(64)],
-                removed: Vec::new(),
-                all_dirty: true,
-            }));
-        }
+    /// Takes every change recorded since the previous drain: the keys in
+    /// slots written since then (insert, value update, backward shift),
+    /// then the removed keys. The first call opens the journal and reports
+    /// a rebuild, as does any call after a `clear` or a resize.
+    pub fn drain_journal(&mut self) -> JournalDrain<K>
+    where
+        K: Clone,
+    {
+        let slots = self.ctrl.len();
+        let entries = &self.entries;
+        self.journal
+            .get_or_insert_with(|| SlotJournal::open(slots))
+            .drain(slots, |slot| entries[slot].as_ref().map(|(k, _)| k))
     }
 
-    /// True once [`Self::enable_journal`] has been called.
-    pub fn journal_enabled(&self) -> bool {
-        self.journal.is_some()
-    }
-
-    /// Takes everything recorded since the previous drain and resets the
-    /// journal to clean. Returns `None` when the journal was never enabled.
-    pub fn drain_journal(&mut self) -> Option<MapJournalDrain<K>> {
-        let j = self.journal.as_deref_mut()?;
-        let mut dirty_slots = Vec::new();
-        if !j.all_dirty {
-            for (w, &word) in j.dirty.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    dirty_slots.push(w * 64 + bits.trailing_zeros() as usize);
-                    bits &= bits - 1;
-                }
-            }
-        }
-        let drained = MapJournalDrain {
-            all_dirty: j.all_dirty,
-            dirty_slots,
-            removed: std::mem::take(&mut j.removed),
-        };
-        j.dirty.clear();
-        j.dirty.resize(self.ctrl.len().div_ceil(64), 0);
-        j.all_dirty = false;
-        Some(drained)
-    }
-
-    /// Records `slot` as changed. No-op without a journal or after a
-    /// wholesale invalidation (the pending rebuild supersedes per-slot
-    /// marks).
+    /// Records `slot` as changed, if a journal is open.
     #[inline]
     fn journal_mark(&mut self, slot: usize) {
         if let Some(j) = self.journal.as_deref_mut() {
-            if !j.all_dirty {
-                j.dirty[slot / 64] |= 1 << (slot % 64);
-            }
-        }
-    }
-
-    /// Records `key` as removed, consuming the owned key the removal freed
-    /// (no clone on the removal path).
-    #[inline]
-    fn journal_removed(&mut self, key: K) {
-        if let Some(j) = self.journal.as_deref_mut() {
-            if !j.all_dirty {
-                j.removed.push(key);
-            }
-        }
-    }
-
-    /// Suspends per-slot tracking until the next drain: slot identity was
-    /// invalidated wholesale (`clear`, `grow`).
-    #[inline]
-    fn journal_invalidate(&mut self) {
-        if let Some(j) = self.journal.as_deref_mut() {
-            j.all_dirty = true;
-            j.removed.clear();
-            j.dirty.clear();
+            j.mark(slot);
         }
     }
 
@@ -465,13 +373,6 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
         self.find(key)
     }
 
-    /// The `(key, value)` stored in `slot`, if the slot is occupied. The
-    /// journal consumer reads dirty slots through this.
-    #[inline]
-    pub fn slot_entry(&self, slot: usize) -> Option<(&K, &V)> {
-        self.entries.get(slot)?.as_ref().map(|(k, v)| (k, v))
-    }
-
     /// True when the map holds `key`.
     #[inline]
     pub fn contains_key(&self, key: &K) -> bool {
@@ -567,7 +468,9 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
         let (removed_key, value) = self.entries[hole].take().expect("occupied slot");
         self.ctrl[hole] = EMPTY;
         self.len -= 1;
-        self.journal_removed(removed_key);
+        if let Some(j) = self.journal.as_deref_mut() {
+            j.depart(removed_key);
+        }
         // Knuth's Algorithm R on a circular table: walk the cluster after
         // the hole; any entry whose home position is cyclically outside
         // (hole, j] would become unreachable through the hole — move it
@@ -613,7 +516,9 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
             *slot = None;
         }
         self.len = 0;
-        self.journal_invalidate();
+        if let Some(j) = self.journal.as_deref_mut() {
+            j.invalidate();
+        }
     }
 
     /// Iterates over `(&key, &value)` pairs in unspecified order.
@@ -633,7 +538,9 @@ impl<K: Eq + Hash, V> CompactMap<K, V> {
 
     /// Doubles the table and re-inserts every entry.
     fn grow(&mut self) {
-        self.journal_invalidate();
+        if let Some(j) = self.journal.as_deref_mut() {
+            j.invalidate();
+        }
         let slots = self.ctrl.len() * 2;
         let old_entries = std::mem::take(&mut self.entries);
         self.ctrl = vec![EMPTY; slots];
@@ -946,53 +853,63 @@ mod tests {
     #[test]
     fn journal_records_writes_removals_and_invalidations() {
         let mut m: CompactMap<u64, u64> = CompactMap::with_capacity(64);
-        assert!(m.drain_journal().is_none(), "journal off by default");
         m.insert(1, 10);
-        m.enable_journal();
-        // The first drain after enabling always reports a full rebuild.
-        assert!(m.drain_journal().unwrap().all_dirty);
+        // The first drain opens the journal and always reports a rebuild.
+        let d = m.drain_journal();
+        assert!(d.rebuild && d.changed.is_empty());
         m.insert(2, 20);
         m.insert(1, 11);
         *m.get_or_insert_with(3, || 0) += 5;
-        let d = m.drain_journal().unwrap();
-        assert!(!d.all_dirty);
-        let keys: std::collections::HashSet<u64> = d
-            .dirty_slots
-            .iter()
-            .map(|&s| *m.slot_entry(s).unwrap().0)
-            .collect();
-        assert!(keys.contains(&1) && keys.contains(&2) && keys.contains(&3));
-        assert!(d.removed.is_empty());
+        let d = m.drain_journal();
+        assert!(!d.rebuild);
+        let keys: std::collections::HashSet<u64> = d.changed.into_iter().collect();
+        assert_eq!(keys, [1, 2, 3].into_iter().collect());
         m.remove(&2);
-        let d = m.drain_journal().unwrap();
-        assert_eq!(d.removed, vec![2]);
+        let d = m.drain_journal();
+        assert!(!d.rebuild && d.changed.ends_with(&[2]));
         m.clear();
-        assert!(m.drain_journal().unwrap().all_dirty, "clear invalidates");
-        let d = m.drain_journal().unwrap();
-        assert!(!d.all_dirty && d.dirty_slots.is_empty() && d.removed.is_empty());
+        assert!(m.drain_journal().rebuild, "clear invalidates");
+        let d = m.drain_journal();
+        assert!(!d.rebuild && d.changed.is_empty());
     }
 
     #[test]
     fn journal_flags_resize_as_all_dirty() {
         let mut m: CompactMap<u64, u64> = CompactMap::new();
-        m.enable_journal();
         m.drain_journal();
         for i in 0..100 {
             m.insert(i, i); // forces several grows past MIN_SLOTS
         }
-        assert!(m.drain_journal().unwrap().all_dirty);
+        assert!(m.drain_journal().rebuild);
+    }
+
+    #[test]
+    fn journal_bounds_departures_by_the_slot_count() {
+        // A map drained rarely must not keep every departed key until the
+        // next drain: past one departure per slot the journal invalidates.
+        let mut m: CompactMap<u64, u64> = CompactMap::with_capacity(64);
+        m.drain_journal();
+        for i in 0..10_000u64 {
+            m.insert(i, i);
+            m.remove(&i);
+        }
+        assert!(m.drain_journal().rebuild);
+        m.insert(5, 5);
+        m.drain_journal();
+        m.remove(&5);
+        let d = m.drain_journal();
+        assert!(!d.rebuild);
+        assert_eq!(d.changed, vec![5]);
     }
 
     #[test]
     fn journal_marks_backward_shifted_slots() {
-        // Every key whose slot changes during removal churn must have its
-        // *new* slot journaled, or an incremental snapshot would keep the
-        // stale rank.
+        // Every key whose slot changes during removal churn must be
+        // journaled, or an incremental snapshot would keep the stale rank.
         let mut m: CompactMap<u64, u64> = CompactMap::with_capacity(64);
         for i in 0..56 {
             m.insert(i, i);
         }
-        m.enable_journal();
         m.drain_journal();
         let before: Vec<(u64, usize)> = (0..56u64)
             .filter(|i| i % 3 != 0)
@@ -1001,15 +918,15 @@ mod tests {
         for i in (0..56u64).step_by(3) {
             m.remove(&i);
         }
-        let d = m.drain_journal().unwrap();
-        assert!(!d.all_dirty);
-        assert_eq!(d.removed.len(), 19);
-        let dirty: std::collections::HashSet<usize> = d.dirty_slots.into_iter().collect();
+        let d = m.drain_journal();
+        assert!(!d.rebuild);
+        let changed: std::collections::HashSet<u64> = d.changed.into_iter().collect();
+        assert!((0..56u64).step_by(3).all(|i| changed.contains(&i)));
         for (k, old_slot) in before {
             let new_slot = m.slot_of(&k).unwrap();
             if new_slot != old_slot {
                 assert!(
-                    dirty.contains(&new_slot),
+                    changed.contains(&k),
                     "key {k} moved {old_slot}→{new_slot} without a journal mark"
                 );
             }

@@ -7,7 +7,8 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::Hash;
 
-use crate::compact_map::{CompactMap, MapJournalDrain};
+use crate::compact_map::CompactMap;
+use crate::journal::JournalDrain;
 
 /// Exact interval counter: counts every occurrence since creation or the last
 /// [`ExactInterval::reset`]. This models the paper's "Interval" measurement
@@ -110,20 +111,9 @@ impl<K: Eq + Hash + Clone> ExactWindow<K> {
         }
     }
 
-    /// Starts recording per-slot count changes for incremental snapshots
-    /// ([`CompactMap::enable_journal`]). Idempotent.
-    pub fn enable_journal(&mut self) {
-        self.counts.enable_journal();
-    }
-
-    /// True once [`Self::enable_journal`] has been called.
-    pub fn journal_enabled(&self) -> bool {
-        self.counts.journal_enabled()
-    }
-
-    /// Takes everything recorded since the previous drain
+    /// Takes every count-table change since the previous drain
     /// ([`CompactMap::drain_journal`]).
-    pub fn drain_journal(&mut self) -> Option<MapJournalDrain<K>> {
+    pub fn drain_journal(&mut self) -> JournalDrain<K> {
         self.counts.drain_journal()
     }
 
@@ -131,12 +121,6 @@ impl<K: Eq + Hash + Clone> ExactWindow<K> {
     /// — the tie-breaking rank of the incremental snapshot path.
     pub fn slot_of(&self, key: &K) -> Option<usize> {
         self.counts.slot_of(key)
-    }
-
-    /// The `(key, count)` stored in `slot`, if occupied
-    /// ([`CompactMap::slot_entry`]).
-    pub fn slot_entry(&self, slot: usize) -> Option<(&K, u64)> {
-        self.counts.slot_entry(slot).map(|(k, &c)| (k, c))
     }
 
     /// The window size `W`.

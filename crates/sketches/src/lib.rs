@@ -34,15 +34,17 @@
 pub mod compact_map;
 pub mod exact;
 pub mod fasthash;
+mod journal;
 pub mod overflow_queue;
 pub mod sampling;
 pub mod space_saving;
 pub mod stream_summary;
 
-pub use compact_map::{CompactMap, MapJournalDrain, ProbeStats};
+pub use compact_map::{CompactMap, ProbeStats};
 pub use exact::{ExactInterval, ExactTimedWindow, ExactWindow};
 pub use fasthash::{FastBuildHasher, FastHasher};
+pub use journal::JournalDrain;
 pub use overflow_queue::OverflowQueue;
 pub use sampling::{GeometricSampler, PrefixSampler, Sampler, TableSampler};
 pub use space_saving::{CounterSnapshot, SpaceSaving};
-pub use stream_summary::{StreamSummary, SummaryJournalDrain};
+pub use stream_summary::StreamSummary;

@@ -17,6 +17,7 @@
 use std::hash::Hash;
 
 use crate::fasthash::PREFETCH_LOOKAHEAD;
+use crate::journal::JournalDrain;
 use crate::stream_summary::StreamSummary;
 
 /// A snapshot of one Space Saving counter, used for merging, reporting and
@@ -195,20 +196,9 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
         self.summary.min_count()
     }
 
-    /// Starts recording per-slot changes for incremental snapshots
-    /// ([`StreamSummary::enable_journal`]). Idempotent.
-    pub fn enable_journal(&mut self) {
-        self.summary.enable_journal();
-    }
-
-    /// True once [`Self::enable_journal`] has been called.
-    pub fn journal_enabled(&self) -> bool {
-        self.summary.journal_enabled()
-    }
-
-    /// Takes everything recorded since the previous drain
+    /// Takes every summary change since the previous drain
     /// ([`StreamSummary::drain_journal`]).
-    pub fn drain_journal(&mut self) -> Option<crate::stream_summary::SummaryJournalDrain<K>> {
+    pub fn drain_journal(&mut self) -> JournalDrain<K> {
         self.summary.drain_journal()
     }
 
@@ -216,12 +206,6 @@ impl<K: Eq + Hash + Clone> SpaceSaving<K> {
     /// the tie-breaking rank of the incremental snapshot path.
     pub fn slot_of(&self, key: &K) -> Option<usize> {
         self.summary.slot_of(key)
-    }
-
-    /// The `(key, count, error)` stored in `slot`, if occupied
-    /// ([`StreamSummary::slot_entry`]).
-    pub fn slot_entry(&self, slot: usize) -> Option<(&K, u64, u64)> {
-        self.summary.slot_entry(slot)
     }
 
     /// Clears all counters (Memento calls this at every frame boundary).

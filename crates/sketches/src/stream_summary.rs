@@ -21,6 +21,7 @@
 use std::hash::Hash;
 
 use crate::compact_map::CompactMap;
+use crate::journal::{JournalDrain, SlotJournal};
 
 /// Null sentinel for the intrusive index-based linked lists.
 const NIL: usize = usize::MAX;
@@ -56,41 +57,6 @@ struct Bucket {
     in_use: bool,
 }
 
-/// Change journal accumulated between two [`StreamSummary::drain_journal`]
-/// calls (see [`StreamSummary::enable_journal`]). Boxed behind an `Option`
-/// so summaries that never snapshot pay one null check per count change.
-#[derive(Debug, Clone)]
-struct SummaryJournal<K> {
-    /// One bit per SoA slot: its count, key or error changed since the last
-    /// drain.
-    dirty: Vec<u64>,
-    /// Keys evicted by [`StreamSummary::replace_min`] since the last drain.
-    /// An evicted key may have been re-inserted afterwards; consumers must
-    /// check the live summary.
-    evicted: Vec<K>,
-    /// Set when [`StreamSummary::clear`] wiped every slot: per-slot tracking
-    /// is suspended and the next drain reports a full rebuild.
-    cleared: bool,
-}
-
-/// The drained contents of a [`StreamSummary`] change journal, as returned
-/// by [`StreamSummary::drain_journal`]. When `cleared` is set the per-slot
-/// and per-key lists are empty and meaningless — the consumer must re-read
-/// the whole summary.
-#[derive(Debug)]
-pub struct SummaryJournalDrain<K> {
-    /// The summary was wholesale cleared since the last drain; rebuild
-    /// instead of patching.
-    pub cleared: bool,
-    /// SoA slots whose count/key/error changed since the last drain,
-    /// ascending. Read the live summary via [`StreamSummary::slot_entry`].
-    pub dirty_slots: Vec<usize>,
-    /// Keys evicted by `replace_min` since the last drain (possibly
-    /// re-inserted later; check the live summary before treating one as
-    /// gone).
-    pub evicted: Vec<K>,
-}
-
 /// An O(1) stream-summary: the union of counter slots, count-ordered buckets
 /// and a key index.
 ///
@@ -110,8 +76,8 @@ pub struct StreamSummary<K: Eq + Hash + Clone> {
     index: CompactMap<K, usize>,
     capacity: usize,
     /// Change journal for incremental snapshot publication; `None` until
-    /// [`Self::enable_journal`].
-    journal: Option<Box<SummaryJournal<K>>>,
+    /// the first [`Self::drain_journal`].
+    journal: Option<Box<SlotJournal<K>>>,
 }
 
 impl<K: Eq + Hash + Clone> StreamSummary<K> {
@@ -136,59 +102,16 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
         }
     }
 
-    /// Starts recording per-slot changes for incremental snapshots
-    /// ([`Self::drain_journal`]). The journal opens in the `cleared` state
-    /// so the first drain after enabling always reports a full rebuild.
-    /// Idempotent. The dirty bitset is sized once — the slot population is
-    /// bounded by `capacity` — so a mark is a single word OR.
-    pub fn enable_journal(&mut self) {
-        if self.journal.is_none() {
-            self.journal = Some(Box::new(SummaryJournal {
-                dirty: vec![0; self.capacity.div_ceil(64)],
-                evicted: Vec::new(),
-                cleared: true,
-            }));
-        }
-    }
-
-    /// True once [`Self::enable_journal`] has been called.
-    pub fn journal_enabled(&self) -> bool {
-        self.journal.is_some()
-    }
-
-    /// Takes everything recorded since the previous drain and resets the
-    /// journal to clean. Returns `None` when the journal was never enabled.
-    pub fn drain_journal(&mut self) -> Option<SummaryJournalDrain<K>> {
-        let j = self.journal.as_deref_mut()?;
-        let mut dirty_slots = Vec::new();
-        if !j.cleared {
-            for (w, &word) in j.dirty.iter().enumerate() {
-                let mut bits = word;
-                while bits != 0 {
-                    dirty_slots.push(w * 64 + bits.trailing_zeros() as usize);
-                    bits &= bits - 1;
-                }
-            }
-        }
-        let drained = SummaryJournalDrain {
-            cleared: j.cleared,
-            dirty_slots,
-            evicted: std::mem::take(&mut j.evicted),
-        };
-        j.dirty.fill(0);
-        j.cleared = false;
-        Some(drained)
-    }
-
-    /// Records `slot` as changed. No-op without a journal or after a
-    /// wholesale clear (the pending rebuild supersedes per-slot marks).
-    #[inline]
-    fn journal_mark(&mut self, slot: usize) {
-        if let Some(j) = self.journal.as_deref_mut() {
-            if !j.cleared {
-                j.dirty[slot / 64] |= 1 << (slot % 64);
-            }
-        }
+    /// Takes every change recorded since the previous drain: the keys in
+    /// slots whose count, key or error changed since then, then the keys
+    /// `replace_min` evicted. The first call opens the journal and reports
+    /// a rebuild, as does any call after a `clear`. The slot population is
+    /// bounded by `capacity`, so the dirty bitmap is sized once.
+    pub fn drain_journal(&mut self) -> JournalDrain<K> {
+        let cold = &self.cold;
+        self.journal
+            .get_or_insert_with(|| SlotJournal::open(self.capacity))
+            .drain(self.capacity, |slot| cold.get(slot)?.key.as_ref())
     }
 
     /// SoA slot holding `key`, if monitored — the stable per-summary
@@ -198,15 +121,6 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
     #[inline]
     pub fn slot_of(&self, key: &K) -> Option<usize> {
         self.index.get(key).copied()
-    }
-
-    /// The `(key, count, error)` stored in `slot`, if occupied. The journal
-    /// consumer reads dirty slots through this.
-    #[inline]
-    pub fn slot_entry(&self, slot: usize) -> Option<(&K, u64, u64)> {
-        let cold = self.cold.get(slot)?;
-        let key = cold.key.as_ref()?;
-        Some((key, self.hot[slot].count, cold.error))
     }
 
     /// Number of monitored keys.
@@ -335,9 +249,7 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
         self.cold[slot].key = Some(key.clone());
         self.index.insert(key, slot);
         if let Some(j) = self.journal.as_deref_mut() {
-            if !j.cleared {
-                j.evicted.push(old_key.clone());
-            }
+            j.depart(old_key.clone());
         }
         (self.increment_slot(slot), old_key)
     }
@@ -351,9 +263,7 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
         self.min_bucket = NIL;
         self.index.clear();
         if let Some(j) = self.journal.as_deref_mut() {
-            j.cleared = true;
-            j.evicted.clear();
-            j.dirty.fill(0);
+            j.invalidate();
         }
     }
 
@@ -487,7 +397,9 @@ impl<K: Eq + Hash + Clone> StreamSummary<K> {
         // Every observable slot mutation funnels through here (insert_new
         // and replace_min both end in an increment), so one mark covers
         // count, key and error changes alike.
-        self.journal_mark(slot);
+        if let Some(j) = self.journal.as_deref_mut() {
+            j.mark(slot);
+        }
         new_count
     }
 
@@ -624,31 +536,25 @@ mod tests {
     #[test]
     fn journal_tracks_increments_evictions_and_clears() {
         let mut s = StreamSummary::new(2);
-        assert!(s.drain_journal().is_none(), "journal off by default");
-        s.enable_journal();
-        assert!(s.drain_journal().unwrap().cleared, "first drain rebuilds");
+        let d = s.drain_journal();
+        assert!(d.rebuild && d.changed.is_empty(), "first drain rebuilds");
         s.insert_new("a");
         s.insert_new("b");
-        let d = s.drain_journal().unwrap();
-        assert!(!d.cleared);
-        assert_eq!(d.dirty_slots, vec![0, 1]);
-        assert!(d.evicted.is_empty());
+        let d = s.drain_journal();
+        assert!(!d.rebuild);
+        assert_eq!(d.changed, vec!["a", "b"]);
         // Increment only "a": only its slot is dirty.
         s.increment(&"a");
-        let d = s.drain_journal().unwrap();
-        assert_eq!(d.dirty_slots, vec![s.slot_of(&"a").unwrap()]);
-        // replace_min evicts "b" and re-marks the reused slot.
+        assert_eq!(s.drain_journal().changed, vec!["a"]);
+        // replace_min evicts "b" and re-marks the reused slot, now "c"'s.
         let (_, evicted) = s.replace_min("c");
         assert_eq!(evicted, "b");
-        let d = s.drain_journal().unwrap();
-        assert_eq!(d.evicted, vec!["b"]);
-        assert_eq!(d.dirty_slots, vec![s.slot_of(&"c").unwrap()]);
-        assert_eq!(s.slot_entry(s.slot_of(&"c").unwrap()).unwrap().0, &"c");
+        assert_eq!(s.drain_journal().changed, vec!["c", "b"]);
         // clear() suspends per-slot tracking until the rebuild drain.
         s.clear();
         s.insert_new("d");
-        let d = s.drain_journal().unwrap();
-        assert!(d.cleared && d.dirty_slots.is_empty() && d.evicted.is_empty());
+        let d = s.drain_journal();
+        assert!(d.rebuild && d.changed.is_empty());
     }
 
     #[test]

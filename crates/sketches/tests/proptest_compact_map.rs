@@ -19,17 +19,63 @@
 //!   `HashMap` index): same operation sequences must produce identical
 //!   counts, error terms, evicted keys and minimum counters — the
 //!   refactor is memory layout only.
+//!
+//! The map and summary differentials also drain the change journal every
+//! few steps and check it is complete: unless a drain asks for a rebuild,
+//! every key whose slot or payload changed, that arrived or that left since
+//! the previous drain must be among its `changed` keys.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::fmt::Debug;
+use std::hash::Hash;
 
 use memento_sketches::{CompactMap, StreamSummary};
 use proptest::prelude::*;
+
+/// Steps between two journal drains in the differential suites.
+const DRAIN_EVERY: usize = 5;
+
+/// Journal-completeness check: `now` is each key's `(slot, payload)` at
+/// this drain, `last` the same at the previous one. Unless the drain asks
+/// for a rebuild, every key whose entry differs between the two — moved,
+/// rewritten, arrived or left — must be among the drained keys.
+fn assert_journal_complete<K, S>(
+    drain: memento_sketches::JournalDrain<K>,
+    last: &HashMap<K, S>,
+    now: &HashMap<K, S>,
+    step: usize,
+) where
+    K: Eq + Hash + Debug,
+    S: PartialEq,
+{
+    if drain.rebuild {
+        return;
+    }
+    let changed: HashSet<K> = drain.changed.into_iter().collect();
+    for key in now.keys().chain(last.keys()) {
+        if now.get(key) != last.get(key) {
+            assert!(
+                changed.contains(key),
+                "key {key:?} changed without a journal entry (drain at step {step})"
+            );
+        }
+    }
+}
+
+/// Each key's `(slot, value)` in `map`.
+fn map_entries(map: &CompactMap<u64, u32>) -> HashMap<u64, (usize, u32)> {
+    map.iter()
+        .map(|(k, v)| (*k, (map.slot_of(k).expect("iterated key"), *v)))
+        .collect()
+}
 
 /// One differential step: both maps get the op, both must agree on every
 /// observable.
 fn run_map_ops(ops: &[(u8, u8)]) {
     let mut compact: CompactMap<u64, u32> = CompactMap::new();
     let mut reference: HashMap<u64, u32> = HashMap::new();
+    assert!(compact.drain_journal().rebuild, "the first drain rebuilds");
+    let mut drained = map_entries(&compact);
     for (step, &(op, key)) in ops.iter().enumerate() {
         let key = key as u64;
         match op % 4 {
@@ -67,6 +113,11 @@ fn run_map_ops(ops: &[(u8, u8)]) {
             reference.len(),
             "len diverged at step {step}"
         );
+        if step % DRAIN_EVERY == 0 {
+            let now = map_entries(&compact);
+            assert_journal_complete(compact.drain_journal(), &drained, &now, step);
+            drained = now;
+        }
     }
     // Full-table agreement, both directions: iterate the compact map and
     // compare entry-by-entry, then sizes (so neither side holds extras).
@@ -194,7 +245,9 @@ proptest! {
     ) {
         let mut new = StreamSummary::new(capacity);
         let mut old = seed_summary::StreamSummary::new(capacity);
-        for &(op, key) in &ops {
+        prop_assert!(new.drain_journal().rebuild, "the first drain rebuilds");
+        let mut drained = summary_entries(&new);
+        for (step, &(op, key)) in ops.iter().enumerate() {
             let key = key as u32;
             match op {
                 0 => {
@@ -241,6 +294,11 @@ proptest! {
                     prop_assert_eq!(lhs, rhs);
                 }
             }
+            if step % DRAIN_EVERY == 0 {
+                let now = summary_entries(&new);
+                assert_journal_complete(new.drain_journal(), &drained, &now, step);
+                drained = now;
+            }
         }
         new.check_invariants();
         let mut lhs: Vec<(u32, u64, u64)> = new.iter().map(|(k, c, e)| (*k, c, e)).collect();
@@ -249,6 +307,17 @@ proptest! {
         rhs.sort_unstable();
         prop_assert_eq!(lhs, rhs);
     }
+}
+
+/// Each monitored key's `(slot, count, error)` in `summary`.
+fn summary_entries(summary: &StreamSummary<u32>) -> HashMap<u32, (usize, u64, u64)> {
+    summary
+        .iter()
+        .map(|(k, count, error)| {
+            let slot = summary.slot_of(k).expect("iterated key");
+            (*k, (slot, count, error))
+        })
+        .collect()
 }
 
 /// The seed-era stream summary, verbatim in structure: array-of-structs
