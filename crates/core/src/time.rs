@@ -34,6 +34,13 @@
 //! the whole window map to `≥ W` rotations, which the closed-form `skip`
 //! executes as an O(1)/O(distinct) wholesale clear — time never walks.
 //!
+//! The contract requires `⌈W/ppg⌉ = grains` (`W > (g − 1)²` suffices).
+//! Otherwise the count window drains in fewer idle grains than `D` spans
+//! and entries age out *early*: with `D = 640, W = 100, g = 64`
+//! (`ppg = 2`) an entry recorded at tick 0 is gone at tick 510. Every
+//! geometry this workspace ships meets it (`W = g · ppg` for the load
+//! balancer's rate limiter, `W ≥ g²` for the benchmarks).
+//!
 //! # Clock policy
 //!
 //! Timestamps are `u64` ticks of any unit (the map only ever compares and
@@ -47,14 +54,15 @@
 use std::hash::Hash;
 use std::marker::PhantomData;
 
-use memento_hierarchy::Hierarchy;
-
 use crate::delta::WindowPatch;
-use crate::query::{HhhQuery, WindowQuery};
-use crate::traits::{HhhAlgorithm, SlidingWindowEstimator};
+use crate::query::WindowQuery;
+use crate::traits::SlidingWindowEstimator;
 
 /// The static geometry of a grain-mapped time window: how many clock ticks
 /// one grain spans and how many stream positions it is worth.
+///
+/// Its expiry contract (module docs) requires `⌈W/ppg⌉ == grains`; when
+/// `ppg · grains` overshoots `W`, idle entries age out early.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct GrainMap {
     /// Window length in clock ticks (`D`).
@@ -241,19 +249,9 @@ impl GrainClock {
         }
     }
 
-    /// True once the first observation anchored the schedule.
-    pub fn anchored(&self) -> bool {
-        self.anchored
-    }
-
     /// The newest (post-clamp) timestamp observed, or 0 before anchoring.
     pub fn last_tick(&self) -> u64 {
         self.last_tick
-    }
-
-    /// The absolute grain index of the newest observation.
-    pub fn grain(&self) -> u64 {
-        self.grain
     }
 
     /// Number of non-monotone timestamps clamped to the newest observation
@@ -268,12 +266,12 @@ impl GrainClock {
 /// the position schedule of a [`GrainClock`].
 ///
 /// The wrapper owns the estimator — all ingest must flow through
-/// [`record_at`](Self::record_at) / [`record_batch_at`](Self::record_batch_at)
+/// [`record_at`](Self::record_at) / [`record_timed`](Self::record_timed)
 /// / [`advance_to`](Self::advance_to) so the wrapper's position mirror
-/// stays true (it deliberately never calls the inner
-/// [`processed`](WindowQuery::processed), which on the sharded engines
-/// forces a snapshot publication). Read access goes through the wrapper's
-/// own [`WindowQuery`] implementation, [`inner`](Self::inner), or
+/// stays true. Only [`new`](Self::new) reads the inner
+/// [`processed`](WindowQuery::processed), which on a sharded engine is a
+/// freeze round and a snapshot publication. Read access goes through the
+/// wrapper's own [`WindowQuery`] implementation, [`inner`](Self::inner), or
 /// [`query_at`](Self::query_at) when the answer must reflect expiry up to
 /// a timestamp with no packet attached.
 ///
@@ -301,7 +299,9 @@ impl<K: Clone, A: SlidingWindowEstimator<K>> TimedWindow<K, A> {
     ///
     /// The wrapper seeds its position mirror from `inner.processed()`, so a
     /// pre-loaded estimator may be wrapped; from then on every update must
-    /// go through the wrapper.
+    /// go through the wrapper. On a fresh sharded engine that one read is
+    /// a full freeze round and publishes epoch 1, before any packet
+    /// arrives.
     pub fn new(inner: A, map: GrainMap) -> Self {
         let position = inner.processed();
         TimedWindow {
@@ -344,14 +344,6 @@ impl<K: Clone, A: SlidingWindowEstimator<K>> TimedWindow<K, A> {
         self.position += 1;
     }
 
-    /// Records a burst of packets all arriving at timestamp `t` through
-    /// the inner batch fast path.
-    pub fn record_batch_at(&mut self, keys: &[K], t: u64) {
-        self.advance_to(t);
-        self.inner.update_batch(keys);
-        self.position += keys.len() as u64;
-    }
-
     /// Replays a batch of individually timestamped packets (a recorded
     /// trace slice) as same-grain *runs*: each run is one closed-form
     /// [`skip`](SlidingWindowEstimator::skip) over the head's rotations
@@ -366,14 +358,15 @@ impl<K: Clone, A: SlidingWindowEstimator<K>> TimedWindow<K, A> {
     ///
     /// The clock consult is hoisted out of the per-packet loop (PR 10):
     /// only the *head* of each in-grain run pays the full
-    /// [`GrainClock::observe`] (boundary crossings, schedule re-anchoring,
-    /// the wholesale-clear diagnostic). After a record the position is
-    /// strictly ahead of the schedule, so every following timestamp inside
-    /// the current grain rotates nothing — the tail of the run costs one
-    /// grain-boundary comparison per packet plus the clamp-to-last
-    /// bookkeeping, which is all a full `observe` would have done. The
-    /// same hoist retires the PR 9 gap-stamp buffers: a whole run shares
-    /// one rotation count, so `skip` + `update_batch` replaces the
+    /// [`advance_to`](Self::advance_to) (boundary crossings, schedule
+    /// re-anchoring, the wholesale-clear diagnostic, the skip). After a
+    /// record the position is strictly ahead of the schedule, so every
+    /// following timestamp inside the current grain rotates nothing — the
+    /// tail of the run costs one grain-boundary comparison per packet plus
+    /// the clamp-to-last bookkeeping, which is all a full `observe` would
+    /// have done. The same hoist retires the earlier gap-stamp buffers: a
+    /// whole run shares one rotation count, so `skip` + `update_batch`
+    /// replaces the
     /// `update_batch_positioned` gap array (bit-for-bit — `skip` composes
     /// and consumes no randomness, and the batch sampler's persistent
     /// carry makes batch splits RNG-invariant; the differential proptests
@@ -387,14 +380,7 @@ impl<K: Clone, A: SlidingWindowEstimator<K>> TimedWindow<K, A> {
         while i < packets.len() {
             // Head of a run: the full clock consult.
             let (t, key) = &packets[i];
-            let rotations = self.clock.observe(*t, self.position);
-            if rotations >= self.clock.map().window_positions() {
-                self.whole_window_advances += 1;
-            }
-            if rotations > 0 {
-                self.inner.skip(rotations);
-                self.position += rotations;
-            }
+            self.advance_to(*t);
             keys.clear();
             keys.push(key.clone());
             self.position += 1;
@@ -424,15 +410,9 @@ impl<K: Clone, A: SlidingWindowEstimator<K>> TimedWindow<K, A> {
     }
 
     /// The wrapped estimator, read-only (mutating it outside the wrapper
-    /// would desynchronize the position mirror — use
-    /// [`into_inner`](Self::into_inner) to take it back).
+    /// would desynchronize the position mirror).
     pub fn inner(&self) -> &A {
         &self.inner
-    }
-
-    /// Unwraps the estimator, consuming the time plane.
-    pub fn into_inner(self) -> A {
-        self.inner
     }
 
     /// The grain clock (geometry, last timestamp, clamp diagnostics).
@@ -484,92 +464,6 @@ impl<K: Clone, A: SlidingWindowEstimator<K>> WindowQuery<K> for TimedWindow<K, A
         K: Eq + Hash,
     {
         self.inner.freeze_delta()
-    }
-}
-
-/// A time-based sliding window over any [`HhhAlgorithm`]: the hierarchical
-/// twin of [`TimedWindow`], sharing the same [`GrainClock`] schedule and
-/// clock policy.
-#[derive(Debug, Clone)]
-pub struct TimedHhh<Hi: Hierarchy, A: HhhAlgorithm<Hi>> {
-    inner: A,
-    clock: GrainClock,
-    position: u64,
-    _hierarchy: PhantomData<fn(Hi)>,
-}
-
-impl<Hi: Hierarchy, A: HhhAlgorithm<Hi>> TimedHhh<Hi, A> {
-    /// Wraps `inner` (count window of `map.window_positions()`) behind the
-    /// grain-mapped time window `map`.
-    pub fn new(inner: A, map: GrainMap) -> Self {
-        let position = inner.processed();
-        TimedHhh {
-            inner,
-            clock: GrainClock::new(map),
-            position,
-            _hierarchy: PhantomData,
-        }
-    }
-
-    /// Advances the window to timestamp `t` without recording anything
-    /// (see [`TimedWindow::advance_to`]).
-    pub fn advance_to(&mut self, t: u64) {
-        let rotations = self.clock.observe(t, self.position);
-        if rotations > 0 {
-            self.inner.skip(rotations);
-            self.position += rotations;
-        }
-    }
-
-    /// Records one packet arriving at timestamp `t`.
-    pub fn record_at(&mut self, item: Hi::Item, t: u64) {
-        self.advance_to(t);
-        self.inner.update(item);
-        self.position += 1;
-    }
-
-    /// Advances to `t`, then hands out the inner algorithm for querying.
-    pub fn query_at(&mut self, t: u64) -> &A {
-        self.advance_to(t);
-        &self.inner
-    }
-
-    /// The wrapped algorithm, read-only.
-    pub fn inner(&self) -> &A {
-        &self.inner
-    }
-
-    /// Unwraps the algorithm, consuming the time plane.
-    pub fn into_inner(self) -> A {
-        self.inner
-    }
-
-    /// The grain clock (geometry, last timestamp, clamp diagnostics).
-    pub fn clock(&self) -> &GrainClock {
-        &self.clock
-    }
-
-    /// The wrapper's mirror of the inner stream position.
-    pub fn position(&self) -> u64 {
-        self.position
-    }
-}
-
-impl<Hi: Hierarchy, A: HhhAlgorithm<Hi>> HhhQuery<Hi> for TimedHhh<Hi, A> {
-    fn name(&self) -> &'static str {
-        self.inner.name()
-    }
-
-    fn estimate(&self, prefix: &Hi::Prefix) -> f64 {
-        self.inner.estimate(prefix)
-    }
-
-    fn output(&self, theta: f64) -> Vec<Hi::Prefix> {
-        self.inner.output(theta)
-    }
-
-    fn processed(&self) -> u64 {
-        self.inner.processed()
     }
 }
 
@@ -681,7 +575,7 @@ mod tests {
     #[test]
     fn query_at_reflects_expiry_without_a_packet() {
         let mut timed = TimedWindow::with_grains(ExactWindow::<u64>::new(100), 100, 100, 10);
-        timed.record_batch_at(&[7, 7, 7], 0);
+        timed.record_timed(&[(0, 7), (0, 7), (0, 7)]);
         assert_eq!(timed.query_at(50).estimate(&7), 3.0);
         assert_eq!(timed.query_at(5_000).estimate(&7), 0.0);
     }

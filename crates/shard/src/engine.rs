@@ -4,7 +4,6 @@ use std::hash::Hash;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 
-use memento_core::{GrainClock, GrainMap};
 use memento_sketches::fasthash;
 
 use crate::router::Router;
@@ -60,6 +59,10 @@ pub trait Shard: Send + 'static {
 /// 123 → 3308 on-arrival RMSE blowup recorded in
 /// `crates/bench/EXPERIMENTS.md`.)
 ///
+/// The engine counts positions only; a timed deployment wraps it in a
+/// [`TimedWindow`](memento_core::TimedWindow), which drives it through
+/// `skip` and `update_batch`.
+///
 /// Updates travel to the workers as gap-stamped batches of
 /// [`DEFAULT_FLUSH_THRESHOLD`] keys over bounded channels, reusing each
 /// algorithm's `update_batch` fast path (for Memento, the geometric skip
@@ -105,9 +108,6 @@ pub struct ShardedEngine<S: Shard> {
     /// Worst per-shard error bound, cached at construction (constant per
     /// configuration; zero for families without a per-flow bound).
     pub(crate) error_bound: f64,
-    /// Per-shard grain clocks for the engine-level time plane
-    /// ([`Self::advance_to`]); `None` until [`Self::with_grain_clock`].
-    clocks: Option<Vec<GrainClock>>,
 }
 
 impl<S: Shard> ShardedEngine<S> {
@@ -151,7 +151,6 @@ impl<S: Shard> ShardedEngine<S> {
             freezes: AtomicUsize::new(0),
             hub,
             error_bound,
-            clocks: None,
         }
     }
 
@@ -170,72 +169,6 @@ impl<S: Shard> ShardedEngine<S> {
     /// The engine's current snapshot [`PublishPolicy`].
     pub fn policy(&self) -> PublishPolicy {
         self.policy
-    }
-
-    /// Equips the engine with a grain-mapped time plane (builder style,
-    /// like [`Self::with_policy`]): one [`GrainClock`] per shard over
-    /// `map`, enabling [`Self::advance_to`]. Every per-shard instance
-    /// must be configured with a count window of exactly
-    /// `map.window_positions()` — the same contract as
-    /// [`TimedWindow`](memento_core::TimedWindow), which this replaces for
-    /// sharded deployments: the clocks live *inside* the engine, so
-    /// time-driven rotations ship per shard and the workers execute their
-    /// closed-form skips in parallel.
-    pub fn with_grain_clock(mut self, map: GrainMap) -> Self {
-        self.clocks = Some(
-            (0..self.workers.len())
-                .map(|_| GrainClock::new(map))
-                .collect(),
-        );
-        self
-    }
-
-    /// The per-shard grain clocks, when the engine was built
-    /// [`with_grain_clock`](Self::with_grain_clock): geometry, newest
-    /// timestamp, and clamp diagnostics — one replica per shard.
-    pub fn grain_clocks(&self) -> Option<&[GrainClock]> {
-        self.clocks.as_deref()
-    }
-
-    /// Advances every shard's window to timestamp `t` without recording
-    /// anything — the engine-level twin of
-    /// [`TimedWindow::advance_to`](memento_core::TimedWindow::advance_to).
-    ///
-    /// Each shard owns a [`GrainClock`] replica over the shared geometry;
-    /// all ingest flows through the single router, so the replicas observe
-    /// the same global position and agree on the rotation count (keeping a
-    /// clock per shard leaves room for worker-local advancement if routing
-    /// ever decentralizes). When rotations are due, the global position
-    /// advances first and every shard then ships — the rotations land in
-    /// each shipment's trailing skip (gap stamps are taken eagerly at push
-    /// time, so buffered keys keep their pre-advance positions) and each
-    /// worker executes its closed-form `skip` *now*, in parallel, instead
-    /// of at its next ingest. Zero rotations — within a grain, or while
-    /// records run ahead of schedule — touch nothing: no shipment, no
-    /// worker wakeup. Non-monotone `t` clamps per the clock policy. Like
-    /// `skip`, this never checks the publish cadence.
-    ///
-    /// # Panics
-    /// Panics unless the engine was built with
-    /// [`Self::with_grain_clock`].
-    pub fn advance_to(&mut self, t: u64) {
-        let mut state = self.state.lock().expect("router state poisoned");
-        let position = state.position();
-        let rotations = {
-            let clocks = self
-                .clocks
-                .as_mut()
-                .expect("advance_to requires an engine built with with_grain_clock(map)");
-            let mut rotations = 0;
-            for clock in clocks.iter_mut() {
-                rotations = clock.observe(t, position);
-            }
-            rotations
-        };
-        if rotations > 0 {
-            state.advance(rotations);
-            self.ship_all(&mut state);
-        }
     }
 
     /// A wait-free handle answering queries from the latest published

@@ -273,7 +273,7 @@ impl<K: Eq + Hash + Clone> WindowQuery<K> for SnapshotReader<K> {
 mod tests {
     use super::*;
     use crate::PublishPolicy;
-    use memento_core::GrainMap;
+    use memento_core::{GrainMap, TimedWindow};
 
     #[test]
     fn routes_all_packets_and_counts_them() {
@@ -420,41 +420,32 @@ mod tests {
     #[test]
     fn engine_advance_to_expires_by_time() {
         // A full window of idle ticks must expire everything on every
-        // shard, with the rotations shipped by `advance_to` itself (no
-        // ingest afterwards to piggyback on).
+        // shard, with the rotations shipped by the wrapper's `advance_to`
+        // (the engine's `skip`) and no ingest afterwards to piggyback on.
         let window = 400u64;
         let map = GrainMap::new(100 * window, window, 8);
-        let mut sharded: ShardedEstimator<u64> =
-            ShardedEstimator::exact(2, window as usize).with_grain_clock(map);
-        sharded.advance_to(5);
-        for i in 0..window {
-            sharded.update(i % 13);
-        }
-        assert!(sharded.estimate(&1) > 0.0);
-        sharded.advance_to(5 + 2 * map.window_ticks());
+        let mut timed = TimedWindow::new(ShardedEstimator::<u64>::exact(2, window as usize), map);
+        let packets: Vec<(u64, u64)> = (0..window).map(|i| (5, i % 13)).collect();
+        timed.record_timed(&packets);
+        assert!(timed.estimate(&1) > 0.0);
+        timed.advance_to(5 + 2 * map.window_ticks());
         for key in 0..13u64 {
-            assert_eq!(sharded.estimate(&key), 0.0, "key {key} survived the gap");
+            assert_eq!(timed.estimate(&key), 0.0, "key {key} survived the gap");
         }
-        // Every per-shard clock replica observed the same schedule.
-        let clocks = sharded.grain_clocks().expect("clock configured");
-        assert_eq!(clocks.len(), 2);
-        assert!(clocks
-            .iter()
-            .all(|c| c.last_tick() == 5 + 2 * map.window_ticks()));
+        assert_eq!(timed.clock().last_tick(), 5 + 2 * map.window_ticks());
+        assert_eq!(timed.inner().processed(), timed.position());
     }
 
     #[test]
-    fn engine_advance_to_matches_wrapped_timed_window() {
-        // The engine-level time plane must agree with wrapping the whole
-        // engine in a `TimedWindow` — same grain geometry, same advance
-        // points, same clamp policy — at 1, 2 and 4 shards.
-        use memento_core::TimedWindow;
+    fn timed_engine_matches_single_threaded_timed_window() {
+        // A timed engine must agree with the single-threaded timed exact
+        // window — same grain geometry, same advance points, same clamp
+        // policy — at 1, 2 and 4 shards.
         let window = 600usize;
         let map = GrainMap::new(3_000, window as u64, 12);
         for shards in [1usize, 2, 4] {
-            let mut engine: ShardedEstimator<u64> =
-                ShardedEstimator::exact(shards, window).with_grain_clock(map);
-            let mut wrapped = TimedWindow::new(ShardedEstimator::<u64>::exact(shards, window), map);
+            let mut engine = TimedWindow::new(ShardedEstimator::<u64>::exact(shards, window), map);
+            let mut single = TimedWindow::new(ExactWindow::<u64>::new(window), map);
             let mut t = 0u64;
             for step in 0..60u64 {
                 t += (step * 37) % 450; // in-grain repeats and multi-grain jumps
@@ -463,30 +454,37 @@ mod tests {
                 } else {
                     t
                 };
-                let keys: Vec<u64> = (0..(step % 7 + 1)).map(|i| (step * 11 + i) % 29).collect();
-                engine.advance_to(sample_t);
-                engine.update_batch(&keys);
-                wrapped.record_batch_at(&keys, sample_t);
+                let packets: Vec<(u64, u64)> = (0..(step % 7 + 1))
+                    .map(|i| (sample_t, (step * 11 + i) % 29))
+                    .collect();
+                engine.record_timed(&packets);
+                single.record_timed(&packets);
             }
             for key in 0..29u64 {
                 assert_eq!(
-                    engine.estimate(&key),
-                    wrapped.estimate(&key),
+                    engine.estimate(&key).to_bits(),
+                    single.estimate(&key).to_bits(),
                     "key {key} diverged at {shards} shards"
                 );
             }
-            let engine_clock = &engine.grain_clocks().expect("clock configured")[0];
-            assert_eq!(engine_clock.last_tick(), wrapped.clock().last_tick());
-            assert_eq!(engine_clock.clamped(), wrapped.clock().clamped());
-            assert!(engine_clock.clamped() > 0, "test must exercise the clamp");
+            assert_eq!(engine.clock().last_tick(), single.clock().last_tick());
+            assert_eq!(engine.clock().clamped(), single.clock().clamped());
+            assert!(engine.clock().clamped() > 0, "test must exercise the clamp");
         }
     }
 
     #[test]
-    #[should_panic(expected = "with_grain_clock")]
-    fn advance_to_without_clock_panics() {
-        let mut sharded: ShardedEstimator<u64> = ShardedEstimator::exact(1, 100);
-        sharded.advance_to(5);
+    fn wrapping_an_engine_publishes_epoch_one() {
+        // `TimedWindow::new` seeds its position mirror from `processed()`,
+        // which on an engine is a full freeze round and the first
+        // publication, before any packet arrives.
+        let engine = ShardedEstimator::<u64>::exact(2, 100);
+        let reader = engine.reader();
+        assert_eq!(engine.freeze_rounds(), 0);
+        assert!(reader.latest().is_none());
+        let timed = TimedWindow::with_grains(engine, 1_000, 100, 10);
+        assert_eq!(timed.inner().freeze_rounds(), 1);
+        assert_eq!(reader.latest().map(|s| s.epoch()), Some(1));
     }
 
     #[test]

@@ -76,15 +76,6 @@ impl<T> Router<T> {
     pub(crate) fn advance(&mut self, n: u64) {
         self.routed += n;
     }
-
-    /// The current global stream position: every packet routed plus every
-    /// position injected via [`Self::advance`]. The engine-level time
-    /// plane reads this to feed its grain clocks without forcing a
-    /// snapshot publication (unlike `processed()`, which reads the
-    /// published snapshot).
-    pub(crate) fn position(&self) -> u64 {
-        self.routed
-    }
 }
 
 #[cfg(test)]

@@ -58,13 +58,12 @@ use memento_core::DeltaWindow;
 pub struct PublishPolicy {
     /// Publish a fresh snapshot after this many shipped per-shard batches,
     /// checked after each threshold shipment of `update`, `update_batch`
-    /// and `update_batch_positioned` (the shipments of `skip` and
-    /// `advance_to` count, but do not check). `0` disables periodic
-    /// publication (snapshots then appear only on `publish_now` /
-    /// on-query publishes). The default of 64 batches keeps
-    /// readers within ~64 × [`crate::DEFAULT_FLUSH_THRESHOLD`] packets of
-    /// the ingest frontier while costing the ingest path well under a
-    /// percent.
+    /// and `update_batch_positioned` (the shipments of `skip` count, but
+    /// do not check). `0` disables periodic publication (snapshots then
+    /// appear only on `publish_now` / on-query publishes). The default of
+    /// 64 batches keeps readers within ~64 ×
+    /// [`crate::DEFAULT_FLUSH_THRESHOLD`] packets of the ingest frontier
+    /// while costing the ingest path well under a percent.
     pub every_batches: usize,
     /// When `true` (the default), the engine's *own* query methods
     /// (`estimate`, `heavy_hitters`, `output`, `processed`) force a

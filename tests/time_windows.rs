@@ -8,8 +8,9 @@
 //!
 //! PR 10 extends the suite with the chunked-ingest differentials: the
 //! run-structured `record_timed` (one clock consult per same-grain run)
-//! against per-packet `record_at`, and the engine-level
-//! `ShardedEstimator::advance_to` against the `TimedWindow` wrapper.
+//! against per-packet `record_at`, and the timed sharded engine
+//! (`TimedWindow<ShardedEstimator>`) against the single-threaded timed
+//! estimators, under non-monotone clocks.
 
 use memento::sketches::{ExactTimedWindow, ExactWindow};
 use memento::traits::SlidingWindowEstimator;
@@ -108,9 +109,27 @@ where
     }
 }
 
-/// A labelled engine constructor for the engine-vs-wrapper differential
-/// test, which builds each engine twice (once bare, once wrapped).
-type EngineCtor = (&'static str, Box<dyn Fn() -> ShardedEstimator<u64>>);
+/// Replays the same timed batches through a timed sharded engine and a
+/// timed single-threaded estimator, then checks that they agree bit for
+/// bit on estimates and on the clock (newest tick, clamp count).
+fn assert_timed_engine_matches_single<A, B>(
+    mut engine: TimedWindow<u64, A>,
+    mut single: TimedWindow<u64, B>,
+    batches: &[Vec<(u64, u64)>],
+    context: &str,
+) where
+    A: SlidingWindowEstimator<u64>,
+    B: SlidingWindowEstimator<u64>,
+{
+    for batch in batches {
+        engine.record_timed(batch);
+        single.record_timed(batch);
+    }
+    assert_estimates_equal(&engine, &single, context);
+    let (clock, reference) = (engine.clock(), single.clock());
+    assert_eq!(clock.last_tick(), reference.last_tick(), "{context}");
+    assert_eq!(clock.clamped(), reference.clamped(), "{context}");
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(8)))]
@@ -356,21 +375,24 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(cases(4)))]
 
-    /// PR 10 engine time plane: a `ShardedEstimator` built with
-    /// `with_grain_clock` and driven by `advance_to(t)` + `update_batch`
-    /// answers bit-for-bit like the same engine wrapped in a `TimedWindow`
-    /// and fed `record_batch_at` — exact and WCSS at N ∈ {1, 2, 4}, with
-    /// non-monotone batch timestamps exercising the clamp on both sides.
+    /// The time plane over the sharded engine: `TimedWindow<ShardedEstimator>`
+    /// fed through `record_timed` answers bit-for-bit like the
+    /// single-threaded `TimedWindow<ExactWindow>` / `TimedWindow<Wcss>` —
+    /// exact and WCSS at N ∈ {1, 2, 4}, with non-monotone batch timestamps
+    /// exercising the clamp on both sides. WCSS gets more counters than the
+    /// key universe, so no Space-Saving eviction separates a shard's
+    /// summary from the single instance's.
     #[test]
-    fn engine_advance_to_matches_timed_window_wrapper(
+    fn timed_engine_matches_single_threaded_timed_window(
         raw in prop::collection::vec((0u64..10, 0u64..UNIVERSE), 60..400),
         grains_exp in 0u32..3,
     ) {
         let window = 800usize;
+        let counters = 32usize;
         let grains = 1u64 << (2 * grains_exp);
         let map = GrainMap::new(560, window as u64, grains);
         let packets = decode_timed(&raw, map.grain_span());
-        let batches: Vec<(u64, Vec<u64>)> = packets
+        let batches: Vec<Vec<(u64, u64)>> = packets
             .chunks(3)
             .enumerate()
             .map(|(i, part)| {
@@ -379,29 +401,23 @@ proptest! {
                 } else {
                     part[0].0
                 };
-                (t, part.iter().map(|&(_, k)| k).collect())
+                part.iter().map(|&(_, k)| (t, k)).collect()
             })
             .collect();
 
         for shards in [1usize, 2, 4] {
-            let engines: [EngineCtor; 2] = [
-                ("exact", Box::new(move || ShardedEstimator::exact(shards, window))),
-                ("wcss", Box::new(move || ShardedEstimator::wcss(shards, 16, window))),
-            ];
-            for (name, make) in &engines {
-                let mut engine = make().with_grain_clock(map);
-                let mut wrapped = TimedWindow::new(make(), map);
-                for (t, keys) in &batches {
-                    engine.advance_to(*t);
-                    engine.update_batch(keys);
-                    wrapped.record_batch_at(keys, *t);
-                }
-                let context = format!("{name}@{shards}");
-                assert_estimates_equal(&engine, &wrapped, &context);
-                let clock = &engine.grain_clocks().expect("clock configured")[0];
-                prop_assert_eq!(clock.last_tick(), wrapped.clock().last_tick());
-                prop_assert_eq!(clock.clamped(), wrapped.clock().clamped());
-            }
+            assert_timed_engine_matches_single(
+                TimedWindow::new(ShardedEstimator::exact(shards, window), map),
+                TimedWindow::new(ExactWindow::<u64>::new(window), map),
+                &batches,
+                &format!("exact@{shards}"),
+            );
+            assert_timed_engine_matches_single(
+                TimedWindow::new(ShardedEstimator::wcss(shards, counters, window), map),
+                TimedWindow::new(Wcss::new(counters, window), map),
+                &batches,
+                &format!("wcss@{shards}"),
+            );
         }
     }
 }
@@ -529,6 +545,42 @@ fn idle_gap_outrunning_the_ring_takes_the_wholesale_clear() {
     assert_eq!(timed.estimate(&7), 1.0);
 }
 
+/// An idle gap longer than `D` clears a timed engine wholesale, and a
+/// reader sees the clear once it is published: every estimate is 0 and
+/// the reader's position is the wrapper's.
+#[test]
+fn idle_clear_on_a_timed_engine_reaches_readers() {
+    let window = 900usize;
+    let map = GrainMap::new(450, window as u64, 16);
+    // Kinds 0..=8 only: bursts and sub-grain steps, no multi-grain jumps,
+    // so nothing is cleared before the idle gap.
+    let raw: Vec<(u64, u64)> = (0..3_000u64)
+        .map(|i| (i * 7 % 9, i * 31 % UNIVERSE))
+        .collect();
+    let packets = decode_timed(&raw, map.grain_span());
+    for shards in [1usize, 2, 4] {
+        let mut timed = TimedWindow::new(ShardedEstimator::exact(shards, window), map);
+        let reader = timed.inner().reader();
+        timed.record_timed(&packets);
+        assert_eq!(
+            timed.whole_window_advances(),
+            0,
+            "cleared early at {shards}"
+        );
+        assert!(timed.inner().estimate(&1) > 0.0);
+        timed.advance_to(timed.clock().last_tick() + 2 * map.window_ticks());
+        assert_eq!(timed.whole_window_advances(), 1, "no clear at {shards}");
+        for key in 0..UNIVERSE {
+            assert_eq!(timed.inner().estimate(&key), 0.0, "engine key {key}");
+        }
+        timed.inner().publish_now();
+        for key in 0..UNIVERSE {
+            assert_eq!(reader.estimate(&key), 0.0, "reader key {key}");
+        }
+        assert_eq!(reader.processed(), timed.position());
+    }
+}
+
 /// Grain-boundary off-by-ones at `grains_per_window` ∈ {1, 8, 64}: with an
 /// exactly divisible geometry, an entry recorded at the very start of a
 /// grain is still present when the clock reaches `t + D` (expiry is never
@@ -644,7 +696,9 @@ fn freeze_delta_pins_frame_flush_rebuild_under_advance() {
 /// `skip` (rotations) and `update_batch` (same-grain runs); only the
 /// threshold shipments of `update_batch` check the publish cadence, while a
 /// `skip` ships without checking it. Pins the freeze rounds and published
-/// epochs, so moving a cadence check changes this test.
+/// epochs, so moving a cadence check changes this test. The first round
+/// (after chunk 0) is the constructor's: `TimedWindow::new` reads the
+/// engine's `processed()`, which freezes and publishes epoch 1.
 #[test]
 fn timed_engine_replay_pins_the_publish_schedule() {
     let window = 20_000u64;
